@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .arrangement import HeartData, IncidenceTable, check_structure, singular_points
-from .cohomology import FatPointScheme, h0_h1, h1_is_zero
+from .cohomology import FatPointScheme, h0_h1, h1_is_zero, regularity
 from .cover import LabelMap, all_characters, chi_class, validate_labels
 from .incidence import certify_double_point
 from .picard import branch_class, canonical_class, hyperplane, intersect, strict_transform
@@ -120,31 +120,19 @@ def _scheme_of(sweep: SweepData, idx: int) -> tuple[FatPointScheme, int]:
 
 
 def _regularity_job(args):
-    """Exact (reg, d, deg, ok) for one character's scheme.
+    """Exact (reg, d, deg, ok, h1_at_d) for one character's scheme.
 
-    reg is found by the certified upward scan; ok is the recorded
-    comparison reg < d.  h1 vanishing in degree d itself is certified
-    separately (it feeds the irregularity computation).
+    reg is found by the certified upward scan from ``start``, a proven
+    lower bound for the first vanishing degree; ok is the recorded
+    comparison reg < d.  h1 in degree d feeds the irregularity
+    computation: when reg < d it vanishes by upward persistence, and
+    only otherwise is it decided on its own.
     """
-    coords_mults, d = args
+    coords_mults, d, start = args
     scheme = FatPointScheme(coords_mults)
-    deg = scheme.degree
-    if deg == 0:
-        reg = 0
-        return reg, d, deg, reg < d, d >= 0
-    bound = 3 + sum(h for _, h in scheme.points)
-    t = 0
-    while comb(t + 2, 2) < deg:
-        t += 1
-    while t <= bound:
-        if h1_is_zero(scheme, t):
-            reg = t + 1
-            break
-        t += 1
-    else:
-        raise ArithmeticError(f"regularity scan exceeded bound {bound}")
-    h1_at_d = h1_is_zero(scheme, d) if d >= 0 else False
-    return reg, d, deg, reg < d, h1_at_d
+    reg = regularity(scheme, fast=True, start=start)
+    h1_at_d = reg < d or (d >= 0 and h1_is_zero(scheme, d))
+    return reg, d, scheme.degree, reg < d, h1_at_d
 
 
 @dataclass
@@ -156,26 +144,33 @@ class ConditionAResult:
     failures: list
 
 
+def line_bounds(sweep: SweepData) -> np.ndarray:
+    """Per character, a degree below which h1 of its scheme cannot vanish.
+
+    Fat points on one line whose multiplicities sum to s restrict to a
+    degree-s scheme on the line, which forces h1 > 0 in every degree
+    t <= s - 2; h1 only grows on passing to the whole scheme.  The bound
+    is s - 1 for the heaviest of the arrangement's lines.
+    """
+    return (np.clip(sweep.h_mult, 0, None) @ sweep.inc).max(axis=1) - 1
+
+
 def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     """reg < d for every nontrivial character, with exact reg recorded."""
-    cache_keys = []
+    starts = line_bounds(sweep)
+    jobs = []
     for idx in range(1, sweep.chars.shape[0]):
         scheme, d = _scheme_of(sweep, idx)
-        cache_keys.append((scheme.points, d))
+        jobs.append((scheme.points, d, int(starts[idx])))
 
-    results: dict = {}
-    unique = list(dict.fromkeys(cache_keys))
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for key, res in zip(unique, pool.map(_regularity_job, unique, chunksize=64)):
-                results[key] = res
+            results = list(pool.map(_regularity_job, jobs, chunksize=64))
     else:
-        for key in unique:
-            results[key] = _regularity_job(key)
+        results = [_regularity_job(job) for job in jobs]
 
     per_chi, degrees, h1_at_d, failures = [], [], [], []
-    for idx, key in enumerate(cache_keys, start=1):
-        reg, d, deg, ok, h1d = results[key]
+    for idx, (reg, d, deg, ok, h1d) in enumerate(results, start=1):
         per_chi.append((idx, reg, d))
         degrees.append(deg)
         h1_at_d.append(h1d)
@@ -555,4 +550,5 @@ __all__ = [
     "check_condition_c",
     "full_certificate",
     "invariants",
+    "line_bounds",
 ]

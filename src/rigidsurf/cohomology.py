@@ -21,7 +21,9 @@ from .cover import LabelMap, chi_class
 from .picard import canonical_class
 from .projective import ProjectivePoint
 
-RANK_PRIMES = (2_147_483_629, 2_147_483_587)  # below 2^31 so int64 row ops are exact
+RANK_PRIMES = (2_147_483_629, 2_147_483_587)
+# int64 row operations multiply two residues, exact only below 2^62
+assert all(q < 2**31 for q in RANK_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,13 @@ def _condition_rows(pnt: ProjectivePoint, h: int, mons, powers):
     return rows
 
 
-def _power_tables(scheme: FatPointScheme, t: int, mod: int | None):
+def _power_tables(scheme: FatPointScheme, t: int):
     values = {c for pnt, _ in scheme.points for c in pnt.coords}
     tables = {}
     for v in values:
         tab = [1] * (t + 1)
         for k in range(1, t + 1):
-            tab[k] = tab[k - 1] * v if mod is None else (tab[k - 1] * v) % mod
+            tab[k] = tab[k - 1] * v
         tables[v] = tab
     return tables
 
@@ -117,7 +119,7 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
     if t < 0:
         raise ValueError("degree must be nonnegative")
     mons = monomials(t)
-    powers = _power_tables(scheme, t, None)
+    powers = _power_tables(scheme, t)
     rows: list[list[int]] = []
     for pnt, h in scheme.points:
         rows.extend(_condition_rows(pnt, h, mons, powers))
@@ -125,15 +127,52 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
 
 
 def conditions_matrix_mod(scheme: FatPointScheme, t: int, q: int) -> np.ndarray:
-    """Conditions matrix reduced mod q (a reduction of the exact one)."""
-    mons = monomials(t)
-    powers = _power_tables(scheme, t, q)
-    rows: list[list[int]] = []
-    for pnt, h in scheme.points:
-        rows.extend([v % q for v in row] for row in _condition_rows(pnt, h, mons, powers))
-    if not rows:
-        return np.zeros((0, len(mons)), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    """Conditions matrix reduced mod q (a reduction of the exact one).
+
+    Row (a, b, c) of a point (x : y : z) at the monomial with exponents
+    (e0, e1, e2) is D_x[a, e0] * D_y[b, e1] * D_z[c, e2] with the
+    per-coordinate tables D_v[a, e] = (e)_a * v^(e - a) mod q; the
+    falling factorial (e)_a vanishes for e < a, which zeroes the
+    monomials a derivative kills.
+    """
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
+    exps = np.array(monomials(t), dtype=np.int64).reshape(-1, 3)
+    if not scheme.points:
+        return np.zeros((0, len(exps)), dtype=np.int64)
+    hmax = max(h for _, h in scheme.points)
+    coords = [c % q for pnt, _ in scheme.points for c in pnt.coords]
+    values, which = np.unique(np.array(coords, dtype=np.int64), return_inverse=True)
+    which = which.reshape(-1, 3)
+
+    e = np.arange(t + 1, dtype=np.int64)
+    powers = np.ones((len(values), t + 1), dtype=np.int64)
+    for k in range(1, t + 1):
+        powers[:, k] = powers[:, k - 1] * values % q
+    falling = np.ones((hmax, t + 1), dtype=np.int64)
+    for a in range(1, hmax):
+        falling[a] = falling[a - 1] * np.maximum(e - a + 1, 0) % q
+    shift = np.maximum(e[None, :] - np.arange(hmax)[:, None], 0)
+    tables = falling[None, :, :] * powers[:, shift] % q  # value x a x e
+    assert tables.min() >= 0 and tables.max() < q, "table entries must be reduced"
+
+    # one row per point and derivative order (a, b, c) with a + b + c < h
+    rows = np.array(
+        [
+            (i, a, b, c)
+            for i, (_, h) in enumerate(scheme.points)
+            for a in range(h)
+            for b in range(h - a)
+            for c in range(h - a - b)
+        ],
+        dtype=np.int64,
+    )
+    pt = rows[:, 0]
+    out = tables[which[pt, 0][:, None], rows[:, 1][:, None], exps[:, 0]]
+    for k in (1, 2):
+        out = out * tables[which[pt, k][:, None], rows[:, k + 1][:, None], exps[:, k]] % q
+    return out
 
 
 def bareiss_rank(matrix) -> int:
@@ -170,6 +209,7 @@ def bareiss_rank(matrix) -> int:
 
 def rank_mod(matrix: np.ndarray, q: int) -> int:
     """Rank of an integer matrix over F_q (a lower bound for the Q-rank)."""
+    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
     m = matrix % q
     rows, cols = m.shape
     rank = 0
@@ -238,19 +278,23 @@ def h0_h1(scheme: FatPointScheme, t: int) -> tuple[int, int]:
     return h0, h1
 
 
-def regularity(scheme: FatPointScheme, fast: bool = False) -> int:
+def regularity(scheme: FatPointScheme, fast: bool = False, start: int = 0) -> int:
     """Castelnuovo-Mumford regularity of the fat-point ideal sheaf.
 
     Upward scan for the first degree with vanishing h1 (vanishing
     persists upward for these sheaves); h2 is controlled automatically
     in the relevant range.  The empty scheme has regularity 0.  The
     scan is capped by the crude bound 3 + sum of multiplicities.
+
+    ``start`` must be a proven lower bound for the first vanishing
+    degree (the character sweep passes its line bound); the scan begins
+    there or at the counting bound, whichever is larger.
     """
     if not scheme.points:
         return 0
     deg = scheme.degree
     bound = 3 + sum(h for _, h in scheme.points)
-    t = _first_possible_degree(deg)
+    t = max(start, _first_possible_degree(deg))
     while t <= bound:
         vanished = h1_is_zero(scheme, t) if fast else (deg - hilbert_rank(scheme, t) == 0)
         if vanished:

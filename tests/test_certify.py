@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from rigidsurf.arrangement import Arrangement, BASE_POINTS, closure, singular_points
 from rigidsurf.certify import (
+    _scheme_of,
     admissible_set,
     build_sweep,
     check_ample,
@@ -10,7 +11,9 @@ from rigidsurf.certify import (
     check_condition_b,
     check_condition_c,
     invariants,
+    line_bounds,
 )
+from rigidsurf.cohomology import h1_is_zero, regularity
 from rigidsurf.cover import random_label_search
 from rigidsurf.projective import point
 
@@ -34,6 +37,34 @@ def test_condition_a_example_character(sweep, cond_a):
     idx, reg, d = cond_a.per_chi[0]
     assert idx == 1 and d == 13
     assert reg < 13
+
+
+def test_line_bounds_are_scheme_line_sums(sweep, table, cond_a):
+    # the vectorized bound equals the heaviest arrangement line of each
+    # scheme, lies below every first vanishing degree, and starting the
+    # scan there gives the regularity of the scan from degree 0
+    bounds = line_bounds(sweep)
+    for idx, reg, d in cond_a.per_chi[::97]:
+        scheme, _ = _scheme_of(sweep, idx)
+        mults = dict(scheme.points)
+        sums = [
+            sum(mults.get(table.points[nu], 0) for nu in range(table.num_points) if i in table.lines_through[nu])
+            for i in range(len(table.arrangement.lines))
+        ]
+        assert bounds[idx] == max(sums) - 1
+        assert bounds[idx] <= reg - 1
+        assert regularity(scheme, fast=True) == reg
+
+
+def _direct_h1_at_d(sweep, idx):
+    scheme, d = _scheme_of(sweep, idx)
+    return d >= 0 and h1_is_zero(scheme, d)
+
+
+def test_derived_h1_at_d_matches_direct_decision(sweep, cond_a):
+    stride = list(zip(cond_a.per_chi, cond_a.h1_at_d))[::97]
+    for (idx, _reg, _d), h1d in stride:
+        assert h1d == _direct_h1_at_d(sweep, idx)
 
 
 def test_sweep_class_coefficients_signed_correctly(sweep):
@@ -158,6 +189,9 @@ def test_condition_a_fails_on_degenerate_labels():
     cond = check_condition_a(sweep)
     assert not cond.verdict
     assert cond.failures
+    # reg >= d here, so h1 at d is decided directly, not derived
+    for (idx, _reg, _d), h1d in zip(cond.per_chi, cond.h1_at_d):
+        assert h1d == _direct_h1_at_d(sweep, idx)
 
 
 def test_full_certificate_fails_on_duplicated_labels(heart):

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from rigidsurf.cohomology import (
     EMPTY,
+    RANK_PRIMES,
     FatPointScheme,
     bareiss_rank,
     conditions_matrix,
@@ -20,7 +23,7 @@ from rigidsurf.cohomology import (
     rank_mod,
     regularity,
 )
-from rigidsurf.projective import point
+from rigidsurf.projective import incident, join, point
 
 
 def scheme(*pairs):
@@ -106,6 +109,7 @@ def test_regularity_fast_path_agrees():
         if not fat.points:
             continue
         assert regularity(fat) == regularity(fat, fast=True)
+        assert regularity(fat) == regularity(fat, fast=True, start=_line_bound(fat))
 
 
 def test_ideal_of_chi(labels, table):
@@ -178,6 +182,87 @@ def test_h1_nonincreasing_and_persistent():
         if 0 in values:
             first = values.index(0)
             assert all(v == 0 for v in values[first:])
+
+
+def _line_bound(fat):
+    """max over lines of (sum of multiplicities of the points on it) - 1."""
+    pts = [p for p, _ in fat.points]
+    best = max(h for _, h in fat.points)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            ell = join(p, q)
+            best = max(best, sum(h for r, h in fat.points if incident(r, ell)))
+    return best - 1
+
+
+small = st.integers(-5, 5)
+triples = st.tuples(small, small, small).filter(lambda v: v != (0, 0, 0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    triples,
+    triples,
+    st.lists(
+        st.tuples(st.tuples(small, small).filter(lambda v: v != (0, 0)), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.tuples(triples, st.integers(1, 2)), max_size=2),
+)
+def test_collinear_fat_points_force_h1(a, b, on_line, off_line):
+    # fat points on one line with multiplicities summing to s keep h1 > 0
+    # in every degree t <= s - 2, whatever else the scheme contains
+    assume(point(a) != point(b))
+    ell = join(point(a), point(b))
+    fat_points = {}
+    for (s_, u), h in on_line:
+        fat_points.setdefault(point(tuple(s_ * x + u * y for x, y in zip(a, b))), h)
+    line_sum = sum(fat_points.values())
+    for v, h in off_line:
+        if not incident(point(v), ell):
+            fat_points.setdefault(point(v), h)
+    fat = FatPointScheme(tuple(sorted(fat_points.items())))
+    for t in range(line_sum - 1):
+        assert hilbert_rank(fat, t) < fat.degree
+    assert _line_bound(fat) >= line_sum - 1
+
+
+def _random_signed_scheme(rng, max_points=4, max_mult=3):
+    pts = set()
+    while len(pts) < rng.randint(1, max_points):
+        v = tuple(rng.randint(-4, 4) for _ in range(3))
+        if v != (0, 0, 0):
+            pts.add(point(v))
+    return FatPointScheme(tuple((p, rng.randint(1, max_mult)) for p in sorted(pts)))
+
+
+def _reduced(rows, q):
+    return [[v % q for v in row] for row in rows]
+
+
+def test_conditions_matrix_mod_reduces_exact_matrix():
+    rng = random.Random(31337)
+    for _ in range(60):
+        fat = _random_signed_scheme(rng)
+        t = rng.randint(0, 7)
+        for q in RANK_PRIMES + (7, 1_000_003):
+            mod = conditions_matrix_mod(fat, t, q)
+            assert mod.dtype == np.int64
+            assert mod.tolist() == _reduced(conditions_matrix(fat, t), q)
+    assert conditions_matrix_mod(EMPTY, 3, 7).shape == (0, 10)
+
+
+def test_conditions_matrix_mod_on_bundled_schemes(labels, table):
+    from rigidsurf.cover import all_characters
+
+    chars = all_characters(7, 4)
+    for chi in chars[1::300]:
+        fat, d = ideal_of_chi(labels, table, chi)
+        for t in (d - 2, d):
+            exact = conditions_matrix(fat, t)
+            for q in RANK_PRIMES:
+                assert conditions_matrix_mod(fat, t, q).tolist() == _reduced(exact, q)
 
 
 def test_mod_rank_is_lower_bound():
