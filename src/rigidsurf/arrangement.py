@@ -12,11 +12,14 @@ and ordered lexicographically, so downstream indices are stable.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
+
+import numpy as np
 
 from .projective import (
     ProjectiveLine,
@@ -62,7 +65,8 @@ class IncidenceTable:
 
     ``points`` is sorted lexicographically on canonical coordinates;
     ``mu[k]`` counts the lines through ``points[k]``; ``lines_through[k]``
-    holds their indices; ``points_on[i]`` the singular points on line i.
+    holds their indices; ``points_on[i]`` the singular points on line i;
+    ``incidence`` is the same data as a matrix.
     """
 
     arrangement: Arrangement
@@ -80,6 +84,15 @@ class IncidenceTable:
     @property
     def num_points(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only m x n int64 matrix, 1 where line i passes through points[k]."""
+        inc = np.zeros((self.num_points, len(self.arrangement.lines)), dtype=np.int64)
+        for k, through in enumerate(self.lines_through):
+            inc[k, list(through)] = 1
+        inc.flags.writeable = False
+        return inc
 
 
 @dataclass(frozen=True)
@@ -365,10 +378,8 @@ def height_report(heart: HeartData) -> dict:
 # file formats
 
 
-def arrangement_to_json(arr: Arrangement, pqr=None, names=None) -> str:
+def arrangement_to_json(arr: Arrangement, pqr=None) -> str:
     payload: dict = {"lines": [list(l.coeffs) for l in arr.lines]}
-    if names:
-        payload["names"] = list(names)
     if pqr:
         payload["P"], payload["Q"], payload["R"] = (list(p.coords) for p in pqr)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

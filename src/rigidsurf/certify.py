@@ -78,11 +78,7 @@ class SweepData:
 
 def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
     p, r = labels.p, labels.r
-    n = len(table.arrangement.lines)
-    m = table.num_points
-    inc = np.zeros((m, n), dtype=np.int64)
-    for nu in range(m):
-        inc[nu, list(table.lines_through[nu])] = 1
+    inc = table.incidence
     chars = np.array(all_characters(p, r), dtype=np.int64)
     line_arr = np.array(labels.line_labels, dtype=np.int64)
     pair_lines = (chars @ line_arr.T) % p
@@ -189,16 +185,16 @@ class ConditionBResult:
     max_value: int
     witness: dict
     pairs_checked: int
-    exceptional_values_ok: bool | None = None
+    exceptional_values_ok: bool
 
 
-def check_condition_b(sweep: SweepData, include_exceptional: bool = False) -> ConditionBResult:
+def check_condition_b(sweep: SweepData) -> ConditionBResult:
     """D.(D - L_chi) < 0 for every strict transform and nontrivial chi.
 
-    Exceptional divisors are skipped: their coefficient in every
+    Exceptional divisors need no search: their coefficient in every
     character class is nonpositive, so E.(E - L_chi) = -1 + coefficient
-    is automatically negative.  ``include_exceptional`` recomputes them
-    anyway as a cross-check of that justification.
+    is automatically negative.  ``exceptional_values_ok`` recomputes
+    them anyway as a cross-check of that justification.
     """
     d_dot_l = sweep.c_chi[:, None] - sweep.e_floor @ sweep.inc
     self_int = 1 - sweep.k_points_on_line
@@ -212,10 +208,7 @@ def check_condition_b(sweep: SweepData, include_exceptional: bool = False) -> Co
         "line": int(line_idx + 1),
         "value": max_value,
     }
-    exc_ok = None
-    if include_exceptional:
-        exc_values = -1 - sweep.e_floor[1:]
-        exc_ok = bool((exc_values < 0).all())
+    exc_ok = bool((-1 - sweep.e_floor[1:] < 0).all())
     return ConditionBResult(max_value < 0, max_value, witness, int(sub.size), exc_ok)
 
 
@@ -402,6 +395,61 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _character_sections(
+    sweep: SweepData, heart: HeartData, threads: int, sections: dict, timings: dict
+) -> bool:
+    """Fill in conditions (a), (b), (c) and the invariants; True if all pass."""
+    t0 = time.perf_counter()
+    cond_a = check_condition_a(sweep, threads=threads)
+    timings["condition_a"] = time.perf_counter() - t0
+    regs = [reg for _, reg, _ in cond_a.per_chi]
+    margins = [d - reg for _, reg, d in cond_a.per_chi]
+    sections["condition_a"] = {
+        "verdict": cond_a.verdict,
+        "characters_checked": len(cond_a.per_chi),
+        "regularity_range": [min(regs), max(regs)] if regs else None,
+        "min_margin": min(margins) if margins else None,
+        "per_chi_reg_and_degree": [[reg, d] for _, reg, d in cond_a.per_chi],
+        "failures": cond_a.failures[:10],
+    }
+
+    t0 = time.perf_counter()
+    cond_b = check_condition_b(sweep)
+    timings["condition_b"] = time.perf_counter() - t0
+    sections["condition_b"] = {
+        "verdict": cond_b.verdict,
+        "max_value": cond_b.max_value,
+        "witness": cond_b.witness,
+        "pairs_checked": cond_b.pairs_checked,
+        "exceptional_cross_check_ok": cond_b.exceptional_values_ok,
+    }
+
+    t0 = time.perf_counter()
+    cond_c = check_condition_c(sweep)
+    timings["condition_c"] = time.perf_counter() - t0
+    sections["condition_c"] = {
+        "verdict": cond_c.verdict,
+        "min_slack": cond_c.min_slack,
+        "witness": cond_c.witness,
+        "binding_cases": cond_c.binding_cases,
+    }
+
+    t0 = time.perf_counter()
+    inv = invariants(sweep, cond_a)
+    timings["invariants"] = time.perf_counter() - t0
+    expected = heart.expected or {}
+    inv_json = inv.to_jsonable()
+    if "chi_any_of" in expected:
+        matches = [v for v in expected["chi_any_of"] if v == inv.chi]
+        inv_json["chi_expected_any_of"] = expected["chi_any_of"]
+        inv_json["chi_matches_expected"] = matches[0] if matches else None
+    if "K2" in expected:
+        inv_json["K2_matches_expected"] = inv.K2 == expected["K2"]
+    sections["invariants"] = inv_json
+
+    return bool(cond_a.verdict and cond_b.verdict and cond_c.verdict and inv.q == 0)
+
+
 def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None = None) -> Certificate:
     """Run the whole pipeline on a configuration with designated structure.
 
@@ -463,68 +511,24 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
         "projective_space_size": validation.projective_space_size,
     }
 
-    sweep = build_sweep(labels, table)
-    t0 = time.perf_counter()
-    cond_a = check_condition_a(sweep, threads=threads)
-    timings["condition_a"] = time.perf_counter() - t0
-    regs = [reg for _, reg, _ in cond_a.per_chi]
-    margins = [d - reg for _, reg, d in cond_a.per_chi]
-    sections["condition_a"] = {
-        "verdict": cond_a.verdict,
-        "characters_checked": len(cond_a.per_chi),
-        "regularity_range": [min(regs), max(regs)] if regs else None,
-        "min_margin": min(margins) if margins else None,
-        "per_chi_reg_and_degree": [[reg, d] for _, reg, d in cond_a.per_chi],
-        "failures": cond_a.failures[:10],
-    }
-
-    t0 = time.perf_counter()
-    cond_b = check_condition_b(sweep, include_exceptional=True)
-    timings["condition_b"] = time.perf_counter() - t0
-    sections["condition_b"] = {
-        "verdict": cond_b.verdict,
-        "max_value": cond_b.max_value,
-        "witness": cond_b.witness,
-        "pairs_checked": cond_b.pairs_checked,
-        "exceptional_cross_check_ok": cond_b.exceptional_values_ok,
-    }
-
-    t0 = time.perf_counter()
-    cond_c = check_condition_c(sweep)
-    timings["condition_c"] = time.perf_counter() - t0
-    sections["condition_c"] = {
-        "verdict": cond_c.verdict,
-        "min_slack": cond_c.min_slack,
-        "witness": cond_c.witness,
-        "binding_cases": cond_c.binding_cases,
-    }
-
     t0 = time.perf_counter()
     ample = check_ample(labels.p, table)
     timings["ampleness"] = time.perf_counter() - t0
     sections["ampleness"] = {"verdict": ample.verdict, **ample.conditions}
 
-    t0 = time.perf_counter()
-    inv = invariants(sweep, cond_a)
-    timings["invariants"] = time.perf_counter() - t0
-    expected = heart.expected or {}
-    inv_json = inv.to_jsonable()
-    if "chi_any_of" in expected:
-        matches = [v for v in expected["chi_any_of"] if v == inv.chi]
-        inv_json["chi_expected_any_of"] = expected["chi_any_of"]
-        inv_json["chi_matches_expected"] = matches[0] if matches else None
-    if "K2" in expected:
-        inv_json["K2_matches_expected"] = inv.K2 == expected["K2"]
-    sections["invariants"] = inv_json
+    # the character sweep needs valid building data: build_sweep raises
+    # on labels that are not divisible, and any other failure already
+    # decides the verdict
+    if validation.all_ok:
+        sweep = build_sweep(labels, table)
+        sweep_ok = _character_sections(sweep, heart, threads, sections, timings)
+    else:
+        for name in ("condition_a", "condition_b", "condition_c", "invariants"):
+            sections[name] = {"skipped": "building_data failed"}
+        sweep_ok = False
 
     all_pass = (
-        sections["incidence"]["verdict"]
-        and sections["building_data"]["verdict"]
-        and cond_a.verdict
-        and cond_b.verdict
-        and cond_c.verdict
-        and ample.verdict
-        and inv.q == 0
+        sections["incidence"]["verdict"] and validation.all_ok and ample.verdict and sweep_ok
     )
     sections["overall"] = {
         "pass": bool(all_pass),

@@ -215,8 +215,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    heart = _heart_for_certify(args)
-    cert = certmod.full_certificate(heart, threads=args.threads)
+    cert = certmod.full_certificate(arrmod.build_heart(), threads=args.threads)
     text = cert.to_json()
     if args.out:
         _write_output(text, args.out)
@@ -224,15 +223,6 @@ def cmd_certify(args) -> int:
     else:
         sys.stdout.write(text)
     return 0 if cert.ok else 1
-
-
-def _heart_for_certify(args):
-    if args.infile is None and args.labels is None:
-        return arrmod.build_heart()
-    raise InputError(
-        "certify currently runs on the bundled dataset; use the library API "
-        "for custom configurations"
-    )
 
 
 def cmd_invariants(args) -> int:
@@ -301,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("certify", help="full verification of the bundled dataset")
-    p.add_argument("--in", dest="infile", help="arrangement JSON")
-    p.add_argument("--labels", help="label table TSV")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="certificate path (default: stdout)")
     p.set_defaults(func=cmd_certify)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .arrangement import IncidenceTable
 from .cover import LabelMap, chi_class
+from .modp import rank_mod
 from .picard import canonical_class
 from .projective import ProjectivePoint
 
@@ -207,31 +208,6 @@ def bareiss_rank(matrix) -> int:
     return rank
 
 
-def rank_mod(matrix: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q (a lower bound for the Q-rank)."""
-    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
-    m = matrix % q
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        nz = np.nonzero(m[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, c]), q - 2, q)
-        col = m[rank + 1:, c]
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            f = (col[hit] * inv) % q
-            m[rank + 1 + hit] = (m[rank + 1 + hit] - f[:, None] * m[rank][None, :]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def hilbert_rank(scheme: FatPointScheme, t: int) -> int:
     """Exact rank of the degree-t conditions matrix (t >= 0)."""
     if t < 0:
@@ -311,17 +287,16 @@ def _first_possible_degree(deg: int) -> int:
     return t
 
 
-def h0_canonical_twist(labels: LabelMap, table: IncidenceTable, chi, a: int = 0) -> int:
-    """h0 of the character class tensored with K and a pullback twist.
+def h0_canonical_twist(labels: LabelMap, table: IncidenceTable, chi) -> int:
+    """h0 of the character class tensored with K.
 
-    Computed downstairs as h0 of the fat-point ideal sheaf in degree
-    d + a through the exact rank path.
+    Computed downstairs as h0 of the fat-point ideal sheaf in the twist
+    degree d through the exact rank path.
     """
     scheme, d = ideal_of_chi(labels, table, chi)
-    t = d + a
-    if t < 0:
+    if d < 0:
         return 0
-    return h0_h1(scheme, t)[0]
+    return h0_h1(scheme, d)[0]
 
 
 __all__ = [

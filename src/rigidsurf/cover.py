@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .arrangement import IncidenceTable
+from .modp import AffineSolutionSet, echelon_mod, solve_mod
 from .picard import DivisorClass
 
 Vector = tuple[int, ...]
@@ -72,6 +73,30 @@ def projective_label(lab: Vector, p: int) -> Vector | None:
             inv = pow(x, p - 2, p)
             return tuple((inv * y) % p for y in lab)
     return None
+
+
+def class_keys(labels: np.ndarray, p: int) -> np.ndarray:
+    """Integer key of each label's class in P^{r-1}(F_p), over the last axis.
+
+    ``labels`` holds reduced entries.  The key scales a label so that its
+    first nonzero entry is 1 and reads it in base p, so two labels have
+    equal keys exactly when they are proportional; the zero label has
+    key -1.
+    """
+    r = labels.shape[-1]
+    flat = labels.reshape(-1, r)
+    # first nonzero entry; the first entry, 0, for the zero label
+    lead = flat[np.arange(flat.shape[0]), np.argmax(flat != 0, axis=1)]
+    inv_table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    keys = (flat * inv_table[lead][:, None]) % p @ (p ** np.arange(r - 1, -1, -1, dtype=np.int64))
+    keys[lead == 0] = -1
+    return keys.reshape(labels.shape[:-1])
+
+
+def distinct_nonzero(keys: np.ndarray) -> np.ndarray:
+    """Per row of class keys: no zero label and no two labels in one class."""
+    keys = np.sort(keys, axis=-1)
+    return (keys[..., 0] >= 0) & (np.diff(keys, axis=-1) != 0).all(axis=-1)
 
 
 def complete_labels(partial, table: IncidenceTable, p: int, r: int) -> LabelMap:
@@ -130,18 +155,12 @@ def validate_labels(labels: LabelMap, table: IncidenceTable) -> ValidationReport
     details: dict = {}
 
     line_arr = np.array(labels.line_labels, dtype=np.int64)
-    point_arr = (
-        np.array(labels.point_labels, dtype=np.int64)
-        if m
-        else np.zeros((0, r), dtype=np.int64)
-    )
+    point_arr = np.array(labels.point_labels, dtype=np.int64).reshape(m, r)
     chars = np.array(all_characters(p, r), dtype=np.int64)
     pl = (chars @ line_arr.T) % p
-    pe = (chars @ point_arr.T) % p if m else np.zeros((len(chars), 0), dtype=np.int64)
+    pe = (chars @ point_arr.T) % p
 
-    inc = np.zeros((m, n), dtype=np.int64)
-    for nu in range(m):
-        inc[nu, list(table.lines_through[nu])] = 1
+    inc = table.incidence
     h_coeff = pl.sum(axis=1)
     e_coeff = -(pl @ inc.T) + pe
     divisibility = bool((h_coeff % p == 0).all() and (e_coeff % p == 0).all())
@@ -149,36 +168,32 @@ def validate_labels(labels: LabelMap, table: IncidenceTable) -> ValidationReport
         bad = np.nonzero(h_coeff % p)[0]
         details["divisibility_failures"] = [tuple(chars[i]) for i in bad[:5]]
 
-    proj = [projective_label(lab, p) for lab in labels.all_labels]
-    zero_labels = proj.count(None)
-    distinct = len(set(proj) - {None})
-    injectivity = zero_labels == 0 and distinct == len(proj)
+    all_arr = np.concatenate([line_arr, point_arr])
+    keys = class_keys(all_arr, p)
+    zero_labels = int((keys < 0).sum())
+    distinct = len(set(keys.tolist()) - {-1})
+    injectivity = zero_labels == 0 and distinct == len(keys)
     if not injectivity:
         details["zero_labels"] = zero_labels
-        details["duplicate_projective_classes"] = len(proj) - zero_labels - distinct
+        details["duplicate_projective_classes"] = len(keys) - zero_labels - distinct
 
-    spanning = _span_rank(labels.all_labels, p) == r
+    _, pivots = echelon_mod(all_arr, p)
+    spanning = len(pivots) == r
 
     snc = all(mu >= 3 for mu in table.mu)
-    label_pairs_ok = True
-    crossings: list[tuple] = []
-    sing = set(table.points)
-    from .projective import meet
-
-    lines = table.arrangement.lines
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = meet(lines[i], lines[j])
-            if x not in sing:
-                crossings.append((labels.line_labels[i], labels.line_labels[j], i, j))
-    for nu in range(m):
-        for i in table.lines_through[nu]:
-            crossings.append((labels.point_labels[nu], labels.line_labels[i], ("E", nu), i))
-    for a, b, ia, ib in crossings:
-        if not _independent_pair(a, b, p):
-            label_pairs_ok = False
-            details.setdefault("dependent_label_pairs", []).append((ia, ib))
-    smoothness = snc and label_pairs_ok
+    # two lines share no singular point exactly when they meet at a double point
+    dp_i, dp_j = np.nonzero(np.triu(inc.T @ inc == 0, k=1))
+    e_nu, e_i = np.nonzero(inc)
+    pair_keys = np.stack(
+        [np.concatenate([keys[dp_i], keys[n + e_nu]]), np.concatenate([keys[dp_j], keys[e_i]])],
+        axis=1,
+    )
+    dependent = np.nonzero(~distinct_nonzero(pair_keys))[0]
+    if dependent.size:
+        crossings = [(int(i), int(j)) for i, j in zip(dp_i, dp_j)]
+        crossings += [(("E", int(nu)), int(i)) for nu, i in zip(e_nu, e_i)]
+        details["dependent_label_pairs"] = [crossings[k] for k in dependent]
+    smoothness = snc and not dependent.size
 
     return ValidationReport(
         divisibility=divisibility,
@@ -189,30 +204,6 @@ def validate_labels(labels: LabelMap, table: IncidenceTable) -> ValidationReport
         projective_space_size=(p**r - 1) // (p - 1),
         details=details,
     )
-
-
-def _span_rank(labels, p: int) -> int:
-    rows = [list(lab) for lab in labels]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _independent_pair(a: Vector, b: Vector, p: int) -> bool:
-    pa, pb = projective_label(a, p), projective_label(b, p)
-    return pa is not None and pb is not None and pa != pb
 
 
 def chi_class(labels: LabelMap, table: IncidenceTable, chi: Vector) -> DivisorClass:
@@ -241,6 +232,9 @@ def chi_class(labels: LabelMap, table: IncidenceTable, chi: Vector) -> DivisorCl
 # seeded random search
 
 
+MAX_SEARCH_ATTEMPTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SearchResult:
     labels: LabelMap
@@ -262,9 +256,7 @@ def _draw_distinct_projective(rng: np.random.Generator, count: int, p: int, r: i
     return out
 
 
-def random_label_search(
-    table: IncidenceTable, p: int, r: int, seed: int, max_attempts: int = 1_000_000
-) -> SearchResult:
+def random_label_search(table: IncidenceTable, p: int, r: int, seed: int) -> SearchResult:
     """Draw line labels until the completed map passes validation.
 
     Injectivity of the completed labels is the expensive filter and is
@@ -275,15 +267,14 @@ def random_label_search(
     """
     rng = np.random.default_rng(seed)
     n = len(table.arrangement.lines)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_SEARCH_ATTEMPTS + 1):
         partial = _draw_distinct_projective(rng, n - 1, p, r)
         labels = complete_labels(partial, table, p, r)
-        proj = [projective_label(lab, p) for lab in labels.all_labels]
-        if None in proj or len(set(proj)) != len(proj):
+        if not distinct_nonzero(class_keys(np.array(labels.all_labels, dtype=np.int64), p)):
             continue
         if validate_labels(labels, table).all_ok:
             return SearchResult(labels, attempt, True)
-    raise RuntimeError(f"no valid label map found in {max_attempts} attempts")
+    raise RuntimeError(f"no valid label map found in {MAX_SEARCH_ATTEMPTS} attempts")
 
 
 def acceptance_estimate(n: int, m: int, p: int, r: int) -> Fraction:
@@ -312,36 +303,12 @@ def empirical_acceptance(
     """
     rng = np.random.default_rng(seed)
     n = len(table.arrangement.lines)
-    m = table.num_points
-    inc = np.zeros((m, n), dtype=np.int64)
-    for nu in range(m):
-        inc[nu, list(table.lines_through[nu])] = 1
-
-    # canonical projective keys: scale so the first nonzero entry is 1,
-    # then encode base p; zero labels encode as -1
-    pow_base = p ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    inv_table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-
-    def keys(block):
-        k, width, _ = block.shape
-        flat = block.reshape(k * width, r)
-        lead = np.argmax(flat != 0, axis=1)
-        zero = ~(flat != 0).any(axis=1)
-        lead_vals = flat[np.arange(flat.shape[0]), lead]
-        scaled = (flat * inv_table[lead_vals][:, None]) % p
-        enc = scaled @ pow_base
-        enc[zero] = -1
-        return enc.reshape(k, width)
-
-    def all_distinct_nonzero(enc):
-        enc = np.sort(enc, axis=1)
-        return (enc[:, 0] >= 0) & (np.diff(enc, axis=1) != 0).all(axis=1)
-
+    inc = table.incidence
     successes = 0
     done = 0
     while done < attempts:
         draws = rng.integers(0, p, size=(50_000, n - 1, r), dtype=np.int64)
-        draws = draws[all_distinct_nonzero(keys(draws))]
+        draws = draws[distinct_nonzero(class_keys(draws, p))]
         draws = draws[: attempts - done]
         if draws.shape[0] == 0:
             continue
@@ -349,33 +316,13 @@ def empirical_acceptance(
         lines_all = np.concatenate([draws, last[:, None, :]], axis=1)
         points = (lines_all.transpose(0, 2, 1) @ inc.T).transpose(0, 2, 1) % p
         everything = np.concatenate([lines_all, points], axis=1)
-        successes += int(all_distinct_nonzero(keys(everything)).sum())
+        successes += int(distinct_nonzero(class_keys(everything, p)).sum())
         done += draws.shape[0]
     return successes, attempts
 
 
 # ---------------------------------------------------------------------------
 # the critical character systems at a triple point
-
-
-@dataclass(frozen=True)
-class AffineSolutionSet:
-    """Solutions of a linear system mod p: particular + span of basis."""
-
-    particular: Vector
-    basis: tuple[Vector, ...]
-
-    def count(self, p: int) -> int:
-        return p ** len(self.basis)
-
-    def enumerate(self, p: int):
-        sols = []
-        for coeffs in product(range(p), repeat=len(self.basis)):
-            v = list(self.particular)
-            for c, b in zip(coeffs, self.basis):
-                v = [(x + c * y) % p for x, y in zip(v, b)]
-            sols.append(tuple(v))
-        return sols
 
 
 def critical_chi_solutions(line_labels, p: int) -> list[AffineSolutionSet | None]:
@@ -393,46 +340,8 @@ def critical_chi_solutions(line_labels, p: int) -> list[AffineSolutionSet | None
     for k in range(3):
         rhs = [0, 0, 0]
         rhs[k] = p - 1
-        rows = [list(lab) for lab in line_labels]
-        out.append(_solve_mod(rows, rhs, p))
+        out.append(solve_mod(line_labels, rhs, p))
     return out
-
-
-def _solve_mod(rows, rhs, p: int) -> AffineSolutionSet | None:
-    """Gaussian elimination over F_p; returns particular + kernel basis."""
-    m = len(rows)
-    cols = len(rows[0])
-    aug = [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][c], p - 2, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[rank])]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][cols]:
-            return None
-    particular = [0] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-aug[i][f]) % p
-        basis.append(tuple(v))
-    return AffineSolutionSet(tuple(particular), tuple(basis))
 
 
 __all__ = [
@@ -443,8 +352,10 @@ __all__ = [
     "acceptance_estimate",
     "all_characters",
     "chi_class",
+    "class_keys",
     "complete_labels",
     "critical_chi_solutions",
+    "distinct_nonzero",
     "empirical_acceptance",
     "is_prime",
     "pairing_lift",

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rigidsurf.arrangement import (
@@ -103,6 +104,17 @@ def test_incidence_count_bookkeeping(heart, table):
     assert sum(table.mu) + 2 * len(doubles) == sum(
         len(through) for through in crossings.values()
     )
+
+
+def test_incidence_matrix_matches_lines_through(table):
+    inc = table.incidence
+    assert inc.shape == (51, 34) and inc.dtype == np.int64
+    for k, through in enumerate(table.lines_through):
+        assert tuple(np.nonzero(inc[k])[0]) == through
+    assert tuple(inc.sum(axis=1)) == table.mu
+    assert table.incidence is inc
+    with pytest.raises(ValueError):
+        inc[0, 0] = 1 - inc[0, 0]
 
 
 def test_structure_checks_pass(heart):

@@ -75,7 +75,7 @@ def test_sweep_class_coefficients_signed_correctly(sweep):
 
 
 def test_condition_b(sweep):
-    res = check_condition_b(sweep, include_exceptional=True)
+    res = check_condition_b(sweep)
     assert res.verdict
     assert res.max_value < 0
     assert res.exceptional_values_ok
@@ -205,6 +205,24 @@ def test_full_certificate_fails_on_duplicated_labels(heart):
     cert = run(heart, labels=dup)
     assert not cert.ok
     assert not cert.sections["building_data"]["injectivity"]
+    assert cert.sections["condition_a"] == {"skipped": "building_data failed"}
+
+
+def test_full_certificate_fails_on_labels_not_divisible(heart, labels):
+    # build_sweep rejects such labels; the certificate records the
+    # failure and skips the character sections instead of raising
+    from rigidsurf.certify import full_certificate as run
+    from rigidsurf.cover import LabelMap
+
+    first = tuple((x + 1) % 7 for x in labels.line_labels[0])
+    bad = LabelMap(labels.p, labels.r, (first,) + labels.line_labels[1:], labels.point_labels)
+    cert = run(heart, labels=bad)
+    s = json.loads(cert.to_json(include_timings=False))
+    assert not cert.ok and s["overall"]["verdict"] == "verification failed"
+    assert not s["building_data"]["divisibility"]
+    assert s["ampleness"]["verdict"]
+    for name in ("condition_a", "condition_b", "condition_c", "invariants"):
+        assert s[name] == {"skipped": "building_data failed"}
 
 
 def test_canonical_twist_matches_lattice_count(sweep, labels, table, cond_a):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rigidsurf.arrangement import arrangement_to_json, Arrangement
 from rigidsurf.cli import main
 from rigidsurf.projective import line
@@ -109,6 +111,14 @@ def test_lambda_search_on_bundled_data(capsys):
     assert payload["attempts"] >= 1
     assert len(payload["line_labels"]) == 34
     assert len(payload["point_labels"]) == 51
+
+
+def test_certify_takes_no_input_files(capsys, tmp_path):
+    # certify runs only the bundled dataset; input flags are usage errors
+    for flag in ("--in", "--labels"):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", flag, str(tmp_path / "x.json")])
+        assert exc.value.code == 2
 
 
 def test_invariants_command(capsys):

@@ -1,13 +1,16 @@
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from rigidsurf.arrangement import Arrangement, singular_points
+from rigidsurf.arrangement import BASE_POINTS, Arrangement, closure, singular_points
 from rigidsurf.cover import (
     LabelMap,
     acceptance_estimate,
     all_characters,
     chi_class,
+    class_keys,
     complete_labels,
     critical_chi_solutions,
     empirical_acceptance,
@@ -17,7 +20,7 @@ from rigidsurf.cover import (
     validate_labels,
 )
 from rigidsurf.picard import DivisorClass, intersect, strict_transform, zero
-from rigidsurf.projective import point
+from rigidsurf.projective import meet, point
 
 
 def test_pairing_lift_examples():
@@ -61,6 +64,77 @@ def test_validate_flags_duplicates(labels, table):
     )
     report = validate_labels(tampered, table)
     assert not report.injectivity
+
+
+def _meet_crossings(table):
+    """Where two branch components meet, found by intersecting every line pair."""
+    lines = table.arrangement.lines
+    sing = set(table.points)
+    doubles = [
+        (i, j)
+        for i, j in combinations(range(len(lines)), 2)
+        if meet(lines[i], lines[j]) not in sing
+    ]
+    exceptional = [(("E", nu), i) for nu, through in enumerate(table.lines_through) for i in through]
+    return doubles, exceptional
+
+
+def test_crossing_pairs_match_meet_scan(table):
+    # one label everywhere makes every crossing dependent, so the report
+    # lists all of them, in order
+    stage = singular_points(Arrangement(closure(BASE_POINTS, 3)[-1].lines))
+    for tab, n_doubles in ((table, 248), (stage, None)):
+        doubles, exceptional = _meet_crossings(tab)
+        one = (1, 0)
+        same = LabelMap(3, 2, (one,) * len(tab.arrangement.lines), (one,) * tab.num_points)
+        report = validate_labels(same, tab)
+        assert not report.smoothness
+        assert report.details["dependent_label_pairs"] == doubles + exceptional
+        assert n_doubles is None or len(doubles) == n_doubles
+
+
+def test_validate_flags_dependent_labels_at_a_double_point(labels, table):
+    doubles, _ = _meet_crossings(table)
+    i, j = doubles[len(doubles) // 2]
+    line_labels = list(labels.line_labels)
+    line_labels[j] = tuple(2 * x % 7 for x in line_labels[i])
+    report = validate_labels(LabelMap(7, 4, tuple(line_labels), labels.point_labels), table)
+    assert not report.smoothness
+    assert (i, j) in report.details["dependent_label_pairs"]
+
+
+def test_validate_flags_dependent_labels_on_an_exceptional_divisor(labels, table):
+    nu = 7
+    i = table.lines_through[nu][1]
+    point_labels = list(labels.point_labels)
+    point_labels[nu] = tuple(3 * x % 7 for x in labels.line_labels[i])
+    report = validate_labels(LabelMap(7, 4, labels.line_labels, tuple(point_labels)), table)
+    assert not report.smoothness
+    assert (("E", nu), i) in report.details["dependent_label_pairs"]
+
+
+def test_validate_flags_labels_in_a_hyperplane(labels, table):
+    def flatten(labs):
+        return tuple(lab[:3] + (0,) for lab in labs)
+
+    report = validate_labels(
+        LabelMap(7, 4, flatten(labels.line_labels), flatten(labels.point_labels)), table
+    )
+    assert report.divisibility
+    assert not report.spanning and not report.all_ok
+
+
+def test_class_keys_match_projective_label():
+    labs = all_characters(7, 4)  # all of F_7^4
+    keys = class_keys(np.array(labs, dtype=np.int64), 7)
+    by_class: dict = {}
+    for lab, key in zip(labs, keys):
+        cls = projective_label(lab, 7)
+        assert (key == -1) == (cls is None)
+        by_class.setdefault(cls, set()).add(int(key))
+    # equal keys exactly when equal classes
+    assert all(len(ks) == 1 for ks in by_class.values())
+    assert len(set().union(*by_class.values())) == len(by_class) == 401
 
 
 def test_chi_class_coefficients(labels, table):
