@@ -6,6 +6,8 @@ The character sweep is exact throughout: lattice arithmetic is plain
 integer arithmetic (vectorized in int64, far from overflow), and every
 cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
+Condition (a) ranks the witnesses of all characters in stacks of equally
+shaped matrices, one batched regularity scan per worker.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .arrangement import HeartData, IncidenceTable, check_structure, singular_points
-from .cohomology import FatPointScheme, h0_h1, h1_is_zero, regularity
+from .cohomology import FatPointScheme, fat_points, h0_h1, h1_is_zero, regularities
 from .cover import LabelMap, all_characters, chi_class, validate_labels
 from .incidence import certify_double_point
 from .picard import branch_class, canonical_class, hyperplane, intersect, strict_transform
@@ -106,29 +108,7 @@ def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
 
 
 def _scheme_of(sweep: SweepData, idx: int) -> tuple[FatPointScheme, int]:
-    hs = sweep.h_mult[idx]
-    fat = tuple(
-        (sweep.table.points[nu], int(hs[nu]))
-        for nu in range(sweep.table.num_points)
-        if hs[nu] >= 1
-    )
-    return FatPointScheme(fat), int(sweep.d_chi[idx])
-
-
-def _regularity_job(args):
-    """Exact (reg, d, deg, ok, h1_at_d) for one character's scheme.
-
-    reg is found by the certified upward scan from ``start``, a proven
-    lower bound for the first vanishing degree; ok is the recorded
-    comparison reg < d.  h1 in degree d feeds the irregularity
-    computation: when reg < d it vanishes by upward persistence, and
-    only otherwise is it decided on its own.
-    """
-    coords_mults, d, start = args
-    scheme = FatPointScheme(coords_mults)
-    reg = regularity(scheme, fast=True, start=start)
-    h1_at_d = reg < d or (d >= 0 and h1_is_zero(scheme, d))
-    return reg, d, scheme.degree, reg < d, h1_at_d
+    return fat_points(sweep.table.points, sweep.h_mult[idx]), int(sweep.d_chi[idx])
 
 
 @dataclass
@@ -152,26 +132,42 @@ def line_bounds(sweep: SweepData) -> np.ndarray:
 
 
 def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
-    """reg < d for every nontrivial character, with exact reg recorded."""
-    starts = line_bounds(sweep)
-    jobs = []
-    for idx in range(1, sweep.chars.shape[0]):
-        scheme, d = _scheme_of(sweep, idx)
-        jobs.append((scheme.points, d, int(starts[idx])))
+    """reg < d for every nontrivial character, with exact reg recorded.
 
+    reg comes from one certified upward scan over all characters
+    (:func:`regularities`), starting at the line bounds; with several
+    workers, each scans a contiguous slice of the characters.  h1 in
+    degree d feeds the irregularity computation: when reg < d it
+    vanishes by upward persistence, and only otherwise is it decided on
+    its own.
+    """
+    points = sweep.table.points
+    mults = sweep.h_mult[1:]
+    starts = line_bounds(sweep)[1:]
     if threads > 1:
+        cuts = np.linspace(0, len(mults), threads + 1).astype(int)
+        slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_regularity_job, jobs, chunksize=64))
+            parts = pool.map(
+                regularities,
+                [points] * threads,
+                [mults[s] for s in slices],
+                [starts[s] for s in slices],
+            )
+            regs = np.concatenate(list(parts))
     else:
-        results = [_regularity_job(job) for job in jobs]
+        regs = regularities(points, mults, starts)
 
-    per_chi, degrees, h1_at_d, failures = [], [], [], []
-    for idx, (reg, d, deg, ok, h1d) in enumerate(results, start=1):
+    fat = np.clip(mults, 0, None)
+    degrees = (fat * (fat + 1) // 2).sum(axis=1).tolist()
+    per_chi, h1_at_d, failures = [], [], []
+    for idx, (reg, d) in enumerate(zip(regs.tolist(), sweep.d_chi[1:].tolist()), start=1):
         per_chi.append((idx, reg, d))
-        degrees.append(deg)
-        h1_at_d.append(h1d)
-        if not ok:
-            failures.append({"chi": [int(x) for x in sweep.chars[idx]], "reg": reg, "d": d})
+        if reg < d:
+            h1_at_d.append(True)
+            continue
+        h1_at_d.append(d >= 0 and h1_is_zero(_scheme_of(sweep, idx)[0], d))
+        failures.append({"chi": [int(x) for x in sweep.chars[idx]], "reg": reg, "d": d})
     return ConditionAResult(not failures, per_chi, degrees, h1_at_d, failures)
 
 

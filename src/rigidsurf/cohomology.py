@@ -7,6 +7,9 @@ per degree-t monomial; its rank over Q decides everything.  The exact
 rank uses fraction-free (Bareiss) elimination on integer matrices; a
 modular fast path certifies full row rank, which is what the large
 verification sweep needs, falling back to the exact rank otherwise.
+The sweep's schemes all live on one point set, so :func:`regularities`
+scans them together: per degree, one bank of conditions rows and one
+stacked elimination mod a prime for each matrix shape.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .arrangement import IncidenceTable
 from .cover import LabelMap, chi_class
-from .modp import rank_mod
+from .modp import rank_mod, ranks_mod
 from .picard import canonical_class
 from .projective import ProjectivePoint
 
@@ -51,6 +54,11 @@ class FatPointScheme:
 EMPTY = FatPointScheme(())
 
 
+def fat_points(points, mults) -> FatPointScheme:
+    """The scheme of the points with a positive multiplicity in ``mults``."""
+    return FatPointScheme(tuple((pnt, int(h)) for pnt, h in zip(points, mults) if h > 0))
+
+
 def ideal_of_chi(labels: LabelMap, table: IncidenceTable, chi) -> tuple[FatPointScheme, int]:
     """Fat-point scheme and twist degree attached to a character.
 
@@ -76,6 +84,15 @@ def monomials(t: int) -> list[tuple[int, int, int]]:
     return [(a, b, t - a - b) for a in range(t, -1, -1) for b in range(t - a, -1, -1)]
 
 
+def _orders(h: int) -> list[tuple[int, int, int]]:
+    """Derivative orders (a, b, c) with a + b + c < h, in conditions-row order.
+
+    The order is by total order first, so the orders below h are the
+    first C(h+2, 3) orders below any larger multiplicity.
+    """
+    return [(a, b, s - a - b) for s in range(h) for a in range(s + 1) for b in range(s - a + 1)]
+
+
 def _condition_rows(pnt: ProjectivePoint, h: int, mons, powers):
     """Rows for the order < h vanishing conditions at one point.
 
@@ -84,23 +101,21 @@ def _condition_rows(pnt: ProjectivePoint, h: int, mons, powers):
     """
     x, y, z = pnt.coords
     rows = []
-    for a in range(h):
-        for b in range(h - a):
-            for c in range(h - a - b):
-                row = []
-                for e0, e1, e2 in mons:
-                    if e0 < a or e1 < b or e2 < c:
-                        row.append(0)
-                        continue
-                    coeff = 1
-                    for k in range(a):
-                        coeff *= e0 - k
-                    for k in range(b):
-                        coeff *= e1 - k
-                    for k in range(c):
-                        coeff *= e2 - k
-                    row.append(coeff * powers[x][e0 - a] * powers[y][e1 - b] * powers[z][e2 - c])
-                rows.append(row)
+    for a, b, c in _orders(h):
+        row = []
+        for e0, e1, e2 in mons:
+            if e0 < a or e1 < b or e2 < c:
+                row.append(0)
+                continue
+            coeff = 1
+            for k in range(a):
+                coeff *= e0 - k
+            for k in range(b):
+                coeff *= e1 - k
+            for k in range(c):
+                coeff *= e2 - k
+            row.append(coeff * powers[x][e0 - a] * powers[y][e1 - b] * powers[z][e2 - c])
+        rows.append(row)
     return rows
 
 
@@ -160,13 +175,7 @@ def conditions_matrix_mod(scheme: FatPointScheme, t: int, q: int) -> np.ndarray:
 
     # one row per point and derivative order (a, b, c) with a + b + c < h
     rows = np.array(
-        [
-            (i, a, b, c)
-            for i, (_, h) in enumerate(scheme.points)
-            for a in range(h)
-            for b in range(h - a)
-            for c in range(h - a - b)
-        ],
+        [(i, *abc) for i, (_, h) in enumerate(scheme.points) for abc in _orders(h)],
         dtype=np.int64,
     )
     pt = rows[:, 0]
@@ -254,23 +263,19 @@ def h0_h1(scheme: FatPointScheme, t: int) -> tuple[int, int]:
     return h0, h1
 
 
-def regularity(scheme: FatPointScheme, fast: bool = False, start: int = 0) -> int:
+def regularity(scheme: FatPointScheme, fast: bool = False) -> int:
     """Castelnuovo-Mumford regularity of the fat-point ideal sheaf.
 
     Upward scan for the first degree with vanishing h1 (vanishing
     persists upward for these sheaves); h2 is controlled automatically
     in the relevant range.  The empty scheme has regularity 0.  The
     scan is capped by the crude bound 3 + sum of multiplicities.
-
-    ``start`` must be a proven lower bound for the first vanishing
-    degree (the character sweep passes its line bound); the scan begins
-    there or at the counting bound, whichever is larger.
     """
     if not scheme.points:
         return 0
     deg = scheme.degree
     bound = 3 + sum(h for _, h in scheme.points)
-    t = max(start, _first_possible_degree(deg))
+    t = _first_possible_degree(deg)
     while t <= bound:
         vanished = h1_is_zero(scheme, t) if fast else (deg - hilbert_rank(scheme, t) == 0)
         if vanished:
@@ -285,6 +290,71 @@ def _first_possible_degree(deg: int) -> int:
     while comb(t + 2, 2) < deg:
         t += 1
     return t
+
+
+def regularities(points, mults, starts) -> np.ndarray:
+    """Regularity of many fat-point schemes on one point set, in one scan.
+
+    Row k of ``mults`` gives the multiplicity of each of ``points`` in
+    scheme k (values <= 0 leave the point out), and ``starts[k]`` is a
+    proven lower bound for its first vanishing degree.  Each scheme is
+    scanned upward as by ``regularity(scheme, fast=True)`` from that
+    bound, with the same decisions:
+
+    - at degree t, every scheme's conditions matrix mod the first rank
+      prime, exactly as :func:`conditions_matrix_mod` builds it, is a
+      row selection from one bank: the conditions matrix of all points
+      at the largest multiplicity;
+    - the schemes whose matrices share a shape are ranked as one stack;
+      full rank (the degree) certifies h1 = 0 at t;
+    - any other scheme goes to the exact decision :func:`h1_is_zero`
+      (both primes, then Bareiss) and moves on to t + 1 only when h1
+      does not vanish there.
+    """
+    points = tuple(points)
+    mults = np.clip(np.asarray(mults, dtype=np.int64).reshape(-1, len(points)), 0, None)
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    count = mults.shape[0]
+    regs = np.zeros(count, dtype=np.int64)
+    deg = (mults * (mults + 1) // 2).sum(axis=1)
+    if not deg.any():
+        return regs
+    bound = 3 + mults.sum(axis=1)
+    # the smallest t with C(t+2, 2) >= deg, below which h1 > 0 for free
+    triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
+    t = np.maximum(starts, np.searchsorted(triangular, deg))
+
+    # every scheme's bank rows, scheme after scheme, point after point: a
+    # point of multiplicity h takes the first C(h+2, 3) rows of its block
+    hmax = int(mults.max())
+    owner, i = np.nonzero(mults)
+    h = mults[owner, i]
+    n = h * (h + 1) * (h + 2) // 6
+    within = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    bank_rows = np.repeat(i * comb(hmax + 2, 3), n) + within
+    n_rows = np.bincount(owner, weights=n, minlength=count).astype(np.int64)
+    first_row = np.cumsum(n_rows) - n_rows
+    full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
+    q = RANK_PRIMES[0]
+
+    live = np.nonzero(deg)[0]
+    while live.size:
+        level = int(t[live].min())
+        now = live[t[live] == level]
+        over = now[level > bound[now]]
+        if over.size:
+            raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
+        bank = conditions_matrix_mod(full, level, q)
+        for size in np.unique(n_rows[now]):
+            group = now[n_rows[now] == size]
+            ranks = ranks_mod(bank[bank_rows[first_row[group][:, None] + np.arange(size)]], q)
+            for k, certified in zip(group.tolist(), (ranks == deg[group]).tolist()):
+                if certified or h1_is_zero(fat_points(points, mults[k]), level):
+                    regs[k] = level + 1
+                else:
+                    t[k] += 1
+        live = live[regs[live] == 0]
+    return regs
 
 
 def h0_canonical_twist(labels: LabelMap, table: IncidenceTable, chi) -> int:
@@ -306,6 +376,7 @@ __all__ = [
     "bareiss_rank",
     "conditions_matrix",
     "conditions_matrix_mod",
+    "fat_points",
     "h0_canonical_twist",
     "h0_h1",
     "h1_is_zero",
@@ -313,5 +384,6 @@ __all__ = [
     "ideal_of_chi",
     "monomials",
     "rank_mod",
+    "regularities",
     "regularity",
 ]

@@ -141,13 +141,15 @@ class ValidationReport:
 def validate_labels(labels: LabelMap, table: IncidenceTable) -> ValidationReport:
     """Check divisibility, injectivity, spanning, and cover smoothness.
 
-    Divisibility is checked literally for every character: the labelled
-    sum of divisor classes must be divisible by p coordinatewise in the
-    blowup lattice.  Smoothness needs the branch divisor to have normal
-    crossings (automatic once every point on >= 3 lines is blown up:
-    verified) and independent labels wherever two branch components
-    meet: at a double point of the arrangement, or where a strict
-    transform crosses an exceptional divisor.
+    Divisibility asks, for every character, that the labelled sum of
+    divisor classes be divisible by p coordinatewise in the blowup
+    lattice.  Mod p each coordinate is linear in the character, so the r
+    unit characters decide it, and a failure names each unit character
+    whose H or E coefficient is not divisible.  Smoothness needs the
+    branch divisor to have normal crossings (automatic once every point
+    on >= 3 lines is blown up: verified) and independent labels wherever
+    two branch components meet: at a double point of the arrangement,
+    or where a strict transform crosses an exceptional divisor.
     """
     p, r = labels.p, labels.r
     n = len(table.arrangement.lines)
@@ -156,17 +158,15 @@ def validate_labels(labels: LabelMap, table: IncidenceTable) -> ValidationReport
 
     line_arr = np.array(labels.line_labels, dtype=np.int64)
     point_arr = np.array(labels.point_labels, dtype=np.int64).reshape(m, r)
-    chars = np.array(all_characters(p, r), dtype=np.int64)
-    pl = (chars @ line_arr.T) % p
-    pe = (chars @ point_arr.T) % p
-
     inc = table.incidence
-    h_coeff = pl.sum(axis=1)
-    e_coeff = -(pl @ inc.T) + pe
-    divisibility = bool((h_coeff % p == 0).all() and (e_coeff % p == 0).all())
+
+    # row j: the H and E coefficients mod p for the j-th unit character
+    h_coeff = line_arr.sum(axis=0)
+    e_coeff = point_arr - inc @ line_arr
+    bad = np.nonzero((h_coeff % p != 0) | (e_coeff % p != 0).any(axis=0))[0]
+    divisibility = not bad.size
     if not divisibility:
-        bad = np.nonzero(h_coeff % p)[0]
-        details["divisibility_failures"] = [tuple(chars[i]) for i in bad[:5]]
+        details["divisibility_failures"] = [tuple(int(j == k) for k in range(r)) for j in bad]
 
     all_arr = np.concatenate([line_arr, point_arr])
     keys = class_keys(all_arr, p)

@@ -14,40 +14,79 @@ from itertools import product
 import numpy as np
 
 
+def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination of a (B, R, C) stack of residue matrices, in place.
+
+    Fraction-free: a row below the pivot becomes pv * row - f * pivot_row
+    with pv the pivot and f the row's entry in the pivot column.  Scaling
+    a row by the nonzero pv keeps the row space, so no inverse is needed,
+    and the swaps and pivot columns are those of elimination with
+    normalized pivots.  Returns the ranks (B,) and the pivot columns
+    (B, min(R, C)), -1 past each rank.
+    """
+    count, rows, cols = stack.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    pivots = np.full((count, min(rows, cols)), -1, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        # the first row at or below each matrix's rank that is nonzero in column c
+        cand = (stack[:, :, c] != 0) & (row_ids >= ranks[:, None])
+        hit = np.nonzero(cand.any(axis=1))[0]
+        if not hit.size:
+            continue
+        top = ranks[hit]
+        piv = cand[hit].argmax(axis=1)
+        # swap the pivot row up to the rank; rows at or below the rank are
+        # zero left of column c, and the pivot row is written back last
+        pivot_rows = stack[hit, piv, c:]
+        stack[hit, piv, c:] = stack[hit, top, c:]
+        lo = int(top.min())
+        sel = slice(None) if hit.size == count else hit
+        block = stack[sel, lo:, c:]
+        below = (row_ids[lo:] > top[:, None])[:, :, None]
+        f = np.where(below, block[:, :, :1], 0)
+        scale = np.where(below, pivot_rows[:, None, :1], 1)
+        new = block * scale - f * pivot_rows[:, None, :]
+        # new - new // q * q is new % q; numpy divides by a scalar far
+        # faster than it takes remainders
+        stack[sel, lo:, c:] = new - new // q * q
+        stack[hit, top, c:] = pivot_rows
+        pivots[hit, top] = c
+        ranks[hit] += 1
+        if (ranks == rows).all():
+            break
+    return ranks, pivots
+
+
+def _residues(matrix, q: int) -> np.ndarray:
+    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
+    return np.asarray(matrix, dtype=np.int64) % q
+
+
 def echelon_mod(matrix, q: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form of an integer matrix over F_q, with its pivot columns.
 
-    Forward elimination only: pivot rows are not normalized and entries
-    above a pivot are left alone.  Rows below the rank come out zero.
+    Forward elimination only (the one-matrix case of :func:`ranks_mod`):
+    pivot rows are not normalized and entries above a pivot are left
+    alone.  Rows below the rank come out zero.
     """
-    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
-    m = np.asarray(matrix, dtype=np.int64) % q
-    rows, cols = m.shape
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        nz = np.nonzero(m[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, c]), q - 2, q)
-        col = m[rank + 1:, c]
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            f = (col[hit] * inv) % q
-            m[rank + 1 + hit] = (m[rank + 1 + hit] - f[:, None] * m[rank][None, :]) % q
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    return m, pivots
+    m = _residues(matrix, q)
+    ranks, pivots = _eliminate(m[None], q)
+    return m, pivots[0, : ranks[0]].tolist()
 
 
 def rank_mod(matrix, q: int) -> int:
     """Rank of an integer matrix over F_q (a lower bound for the Q-rank)."""
     return len(echelon_mod(matrix, q)[1])
+
+
+def ranks_mod(stack, q: int) -> np.ndarray:
+    """Ranks over F_q of a (B, R, C) stack of equally shaped integer matrices.
+
+    One elimination runs over the whole stack, one column at a time, so
+    the Python-level cost is paid per column rather than per matrix.
+    """
+    return _eliminate(_residues(stack, q), q)[0]
 
 
 @dataclass(frozen=True)
@@ -99,4 +138,4 @@ def solve_mod(rows, rhs, q: int) -> AffineSolutionSet | None:
     return AffineSolutionSet(particular, basis)
 
 
-__all__ = ["AffineSolutionSet", "echelon_mod", "rank_mod", "solve_mod"]
+__all__ = ["AffineSolutionSet", "echelon_mod", "rank_mod", "ranks_mod", "solve_mod"]

@@ -1,5 +1,8 @@
 import json
 from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
 
 from rigidsurf.arrangement import Arrangement, BASE_POINTS, closure, singular_points
 from rigidsurf.certify import (
@@ -15,7 +18,7 @@ from rigidsurf.certify import (
 )
 from rigidsurf.cohomology import h1_is_zero, regularity
 from rigidsurf.cover import random_label_search
-from rigidsurf.projective import point
+from rigidsurf.projective import incident, join, point
 
 
 def test_condition_a_all_pass(cond_a):
@@ -54,6 +57,27 @@ def test_line_bounds_are_scheme_line_sums(sweep, table, cond_a):
         assert bounds[idx] == max(sums) - 1
         assert bounds[idx] <= reg - 1
         assert regularity(scheme, fast=True) == reg
+
+
+def _lines_through_two_points(table):
+    """Points x lines incidence of the lines through >= 2 of the table points."""
+    lines = sorted({join(p, q) for p, q in combinations(table.points, 2)})
+    return np.array([[incident(p, l) for l in lines] for p in table.points], dtype=np.int64)
+
+
+def test_first_vanishing_degree_within_segre_bound(sweep, table, cond_a):
+    # Segre's bound for fat points in the plane (Fatabbi 1994, Thien
+    # 2000): the first vanishing degree reg - 1 is at most
+    # max(max_L sum_{P on L} m_P - 1, floor(sum m_P / 2)) over the lines L
+    # through two or more points; an independent check, never a verdict
+    inc2 = _lines_through_two_points(table)
+    assert inc2.shape == (51, 543)
+    m = np.clip(sweep.h_mult[1:], 0, None)
+    segre = np.maximum((m @ inc2).max(axis=1) - 1, m.sum(axis=1) // 2)
+    first = np.array([reg for _, reg, _ in cond_a.per_chi]) - 1
+    assert (first <= segre).all()
+    assert int((first == segre).sum()) == 74
+    assert (line_bounds(sweep)[1:] <= first).all()
 
 
 def _direct_h1_at_d(sweep, idx):

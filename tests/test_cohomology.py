@@ -14,6 +14,7 @@ from rigidsurf.cohomology import (
     bareiss_rank,
     conditions_matrix,
     conditions_matrix_mod,
+    fat_points,
     h0_canonical_twist,
     h0_h1,
     h1_is_zero,
@@ -21,6 +22,7 @@ from rigidsurf.cohomology import (
     ideal_of_chi,
     monomials,
     rank_mod,
+    regularities,
     regularity,
 )
 from rigidsurf.projective import incident, join, point
@@ -108,8 +110,69 @@ def test_regularity_fast_path_agrees():
         fat = _random_scheme(rng)
         if not fat.points:
             continue
+        points = [p for p, _ in fat.points]
+        mults = [[h for _, h in fat.points]]
         assert regularity(fat) == regularity(fat, fast=True)
-        assert regularity(fat) == regularity(fat, fast=True, start=_line_bound(fat))
+        assert regularity(fat) == regularities(points, mults, [_line_bound(fat)])[0]
+        assert regularity(fat) == regularities(points, mults, [0])[0]
+
+
+# a fixed point set: four points on z = 0, three on x = y, and two more
+FIXED_POINTS = tuple(
+    point(*c)
+    for c in (
+        (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 1, 1), (2, 2, 1), (0, 0, 1), (1, 2, 3), (3, 1, 2)
+    )
+)
+
+
+def test_regularities_match_exact_scan():
+    # one batched scan over many multiplicity rows against the exact scan
+    # of each scheme; from degree 0 many schemes need a second degree
+    rng = random.Random(11)
+    rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(60)]
+    rows += [[0] * len(FIXED_POINTS), [3, 3, 3, 3, 0, 0, 0, 0, 0], [1] * len(FIXED_POINTS)]
+    schemes = [fat_points(FIXED_POINTS, row) for row in rows]
+    exact = [regularity(fat) for fat in schemes]
+    bounds = [_line_bound(fat) if fat.points else 0 for fat in schemes]
+    assert regularities(FIXED_POINTS, rows, [0] * len(rows)).tolist() == exact
+    assert regularities(FIXED_POINTS, rows, bounds).tolist() == exact
+    # rows whose scan from its first possible degree did not stop there
+    later = [
+        reg for fat, reg in zip(schemes, exact)
+        if fat.points and reg - 1 > next(t for t in range(99) if comb(t + 2, 2) >= fat.degree)
+    ]
+    assert len(later) >= 20
+    # nonpositive multiplicities leave a point out
+    negative = [[-h for h in row] for row in rows]
+    assert not regularities(FIXED_POINTS, negative, [0] * len(rows)).any()
+
+
+def test_regularities_fall_back_when_the_first_prime_fails(monkeypatch):
+    # mod 7 many full-rank conditions matrices lose rank; the exact
+    # decision must then certify h1 = 0 instead of moving up a degree
+    import rigidsurf.cohomology as cohomology
+
+    rng = random.Random(12)
+    rows = [[rng.choice((0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(30)]
+    exact = [regularity(fat_points(FIXED_POINTS, row)) for row in rows]
+    monkeypatch.setattr(cohomology, "RANK_PRIMES", (7, 11))
+    assert regularities(FIXED_POINTS, rows, [0] * len(rows)).tolist() == exact
+
+
+def test_lower_multiplicity_rows_are_a_prefix():
+    # the batched scan selects a scheme's rows from the rows of the
+    # largest multiplicity, so each point's rows must nest
+    for pnt in FIXED_POINTS:
+        top = conditions_matrix_mod(scheme((pnt.coords, 4)), 6, RANK_PRIMES[0])
+        for h in range(1, 4):
+            rows = conditions_matrix_mod(scheme((pnt.coords, h)), 6, RANK_PRIMES[0])
+            assert rows.tolist() == top[: comb(h + 2, 3)].tolist()
+
+
+def test_regularities_cap_the_scan():
+    with pytest.raises(ArithmeticError):
+        regularities(FIXED_POINTS[:1], [[1]], [5])
 
 
 def test_ideal_of_chi(labels, table):

@@ -124,6 +124,65 @@ def test_validate_flags_labels_in_a_hyperplane(labels, table):
     assert not report.spanning and not report.all_ok
 
 
+def _literal_divisibility_failures(labels, table):
+    """Characters whose H or E coefficient is not divisible by p, all p^r checked."""
+    p = labels.p
+    chars = np.array(all_characters(p, labels.r), dtype=np.int64)
+    pl = (chars @ np.array(labels.line_labels, dtype=np.int64).T) % p
+    pe = (chars @ np.array(labels.point_labels, dtype=np.int64).T) % p
+    h_coeff = pl.sum(axis=1)
+    e_coeff = pe - pl @ table.incidence.T
+    bad = (h_coeff % p != 0) | (e_coeff % p != 0).any(axis=1)
+    return {tuple(int(x) for x in chars[i]) for i in np.nonzero(bad)[0]}
+
+
+def _damaged_label_maps(table, r, rng):
+    """Random, completed and one-entry-damaged label maps for (Z/7)^r."""
+    n, m = len(table.arrangement.lines), table.num_points
+
+    def draw(count):
+        return tuple(tuple(rng.randrange(7) for _ in range(r)) for _ in range(count))
+
+    yield LabelMap(7, r, draw(n), draw(m))
+    partial = [lab for lab in draw(n - 1) if any(lab)]
+    if len(partial) < n - 1:
+        return
+    done = complete_labels(partial, table, 7, r)
+    yield done
+    for which in ("line", "point"):
+        labs = list(done.line_labels if which == "line" else done.point_labels)
+        k, j = rng.randrange(len(labs)), rng.randrange(r)
+        labs[k] = labs[k][:j] + ((labs[k][j] + rng.randrange(1, 7)) % 7,) + labs[k][j + 1:]
+        if which == "line":
+            yield LabelMap(7, r, tuple(labs), done.point_labels)
+        else:
+            yield LabelMap(7, r, done.line_labels, tuple(labs))
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_divisibility_on_unit_characters_matches_all_characters(table, r):
+    rng = random.Random(40 + r)
+    checked = 0
+    for _ in range(4):
+        for labels in _damaged_label_maps(table, r, rng):
+            literal = _literal_divisibility_failures(labels, table)
+            report = validate_labels(labels, table)
+            assert report.divisibility == (not literal)
+            units = {tuple(int(j == k) for k in range(r)) for j in range(r)}
+            assert set(report.details.get("divisibility_failures", [])) == literal & units
+            checked += 1
+    assert checked >= 12
+
+
+def test_divisibility_witness_names_an_exceptional_failure(labels, table):
+    # the H coefficients stay divisible; only E_0's coefficient breaks
+    point_labels = list(labels.point_labels)
+    point_labels[0] = ((point_labels[0][0] + 1) % 7,) + point_labels[0][1:]
+    report = validate_labels(LabelMap(7, 4, labels.line_labels, tuple(point_labels)), table)
+    assert not report.divisibility
+    assert report.details["divisibility_failures"] == [(1, 0, 0, 0)]
+
+
 def test_class_keys_match_projective_label():
     labs = all_characters(7, 4)  # all of F_7^4
     keys = class_keys(np.array(labs, dtype=np.int64), 7)

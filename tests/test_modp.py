@@ -5,7 +5,7 @@ from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from rigidsurf.cohomology import RANK_PRIMES
-from rigidsurf.modp import echelon_mod, rank_mod, solve_mod
+from rigidsurf.modp import echelon_mod, rank_mod, ranks_mod, solve_mod
 
 PRIMES = (7, RANK_PRIMES[0])
 
@@ -33,6 +33,72 @@ def systems(draw):
 def test_rank_mod_matches_sympy(system):
     rows, _, q = system
     assert rank_mod(np.array(rows, dtype=np.int64), q) == _oracle_rank(rows, q)
+
+
+def _draw_matrix(draw, entry, rows, cols):
+    cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def stacks(draw):
+    """(stack, q): B equally shaped matrices of mixed kinds and ranks.
+
+    Each matrix is random (small or wide entries), a product of two
+    random factors (rank at most the inner size), zero, or has repeated
+    rows or a zero column, so one stack mixes ranks and missing pivots.
+    """
+    q = draw(st.sampled_from(PRIMES))
+    count = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    small = st.integers(-3, 3)
+    out = []
+    for _ in range(count):
+        kind = draw(
+            st.sampled_from(["small", "wide", "product", "zero", "repeated", "zero_column"])
+        )
+        entry = st.integers(-(2**40), 2**40) if kind == "wide" else small
+        mat = _draw_matrix(draw, entry, rows, cols)
+        if kind == "product":
+            inner = draw(st.integers(0, 3))
+            mat = _draw_matrix(draw, small, rows, inner) @ _draw_matrix(draw, small, inner, cols)
+        elif kind == "zero":
+            mat[:] = 0
+        elif kind == "repeated" and rows > 1:
+            mat[1:] = mat[draw(st.integers(0, rows - 1))]
+        elif kind == "zero_column" and cols:
+            mat[:, draw(st.integers(0, cols - 1))] = 0
+        out.append(mat)
+    return np.stack(out), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_ranks_mod_matches_sympy_per_matrix(case):
+    stack, q = case
+    ranks = ranks_mod(stack, q)
+    assert ranks.shape == (stack.shape[0],)
+    oracle = [_oracle_rank(mat.tolist(), q) for mat in stack]
+    assert ranks.tolist() == oracle
+    assert [rank_mod(mat, q) for mat in stack] == oracle
+
+
+def test_ranks_mod_mixes_ranks_in_one_stack():
+    # GF(7): the middle matrix loses both pivots in column 0, the last is zero
+    stack = np.array(
+        [
+            [[1, 2, 3], [0, 1, 4], [2, 0, 1]],
+            [[0, 3, 1], [0, 6, 2], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[7, 14, 21], [1, 1, 1], [2, 2, 9]],
+        ],
+        dtype=np.int64,
+    )
+    assert ranks_mod(stack, 7).tolist() == [3, 1, 0, 1]
+    assert ranks_mod(stack[:1], 7).tolist() == [3]
+    assert ranks_mod(np.zeros((2, 0, 4), dtype=np.int64), 7).tolist() == [0, 0]
+    assert ranks_mod(np.zeros((0, 3, 3), dtype=np.int64), 7).tolist() == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,3 +150,5 @@ def test_solve_mod_enumerates_every_solution():
 def test_echelon_mod_rejects_wide_modulus():
     with pytest.raises(AssertionError):
         echelon_mod([[1]], 2**31 + 11)
+    with pytest.raises(AssertionError):
+        ranks_mod(np.ones((1, 1, 1), dtype=np.int64), 2**31 + 11)
