@@ -25,37 +25,9 @@ import numpy as np
 from . import __version__
 from .arrangement import HeartData, IncidenceTable, check_structure, singular_points
 from .cohomology import FatPointScheme, fat_points, h0_h1, h1_is_zero, regularities
-from .cover import LabelMap, all_characters, chi_class, validate_labels
+from .cover import LabelMap, all_characters, validate_labels
 from .incidence import certify_double_point
-from .picard import branch_class, canonical_class, hyperplane, intersect, strict_transform
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Strict transforms admissible for a character.
-
-    Membership requires the pairing with the label to avoid p-1 and the
-    hyperplane class minus the character class to be negative on the
-    divisor.
-    """
-
-    chi: tuple[int, ...]
-    members: tuple[int, ...]
-
-
-def admissible_set(labels: LabelMap, table: IncidenceTable, chi) -> AdmissibleSet:
-    p = labels.p
-    m = table.num_points
-    lchi = chi_class(labels, table, chi)
-    h_minus = hyperplane(m) - lchi
-    members = []
-    for i in range(len(table.arrangement.lines)):
-        pairing = sum(c * x for c, x in zip(chi, labels.line_labels[i])) % p
-        if pairing == p - 1:
-            continue
-        if intersect(h_minus, strict_transform(i, table)) < 0:
-            members.append(i)
-    return AdmissibleSet(tuple(chi), tuple(members))
+from .picard import branch_class, canonical_class, intersect
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +188,18 @@ class ConditionCResult:
     binding_cases: int
 
 
+def admissible(sweep: SweepData) -> np.ndarray:
+    """Admissible strict transforms, a p^r x n boolean matrix.
+
+    Line i is admissible for a character when the pairing with its label
+    avoids p - 1 and the hyperplane class minus the character class is
+    negative on its strict transform.
+    """
+    p = sweep.labels.p
+    h_minus_l_dot_d = (1 - sweep.c_chi)[:, None] + sweep.e_floor @ sweep.inc
+    return (sweep.pair_lines != p - 1) & (h_minus_l_dot_d < 0)
+
+
 def check_condition_c(sweep: SweepData) -> ConditionCResult:
     """Each exceptional divisor meets enough admissible strict transforms.
 
@@ -224,10 +208,7 @@ def check_condition_c(sweep: SweepData) -> ConditionCResult:
     pairing of the character class with the exceptional divisor; the
     bound only binds when that pairing is 0 or 1.
     """
-    p = sweep.labels.p
-    h_minus_l_dot_d = (1 - sweep.c_chi)[:, None] + sweep.e_floor @ sweep.inc
-    member = (sweep.pair_lines != p - 1) & (h_minus_l_dot_d < 0)
-    counts = member.astype(np.int64) @ sweep.inc.T
+    counts = admissible(sweep).astype(np.int64) @ sweep.inc.T
     need = 2 - sweep.e_floor
     slack = (counts - need)[1:]
     min_slack = int(slack.min())
@@ -310,7 +291,7 @@ class InvariantsResult:
         }
 
 
-def invariants(sweep: SweepData, cond_a: ConditionAResult | None = None) -> InvariantsResult:
+def invariants(sweep: SweepData, cond_a: ConditionAResult) -> InvariantsResult:
     """K^2, chi, p_g, q and the sanity inequalities, all exact.
 
     K^2 comes from the ramification square; chi sums the Euler
@@ -338,8 +319,6 @@ def invariants(sweep: SweepData, cond_a: ConditionAResult | None = None) -> Inva
         raise ArithmeticError("trivial character must contribute exactly 1")
     chi_total = int((inter // 2 + 1).sum())
 
-    if cond_a is None:
-        cond_a = check_condition_a(sweep)
     pg = 0
     all_h1_vanish = True
     for (idx, _reg, d), deg, h1d in zip(cond_a.per_chi, cond_a.degrees, cond_a.h1_at_d):
@@ -534,7 +513,6 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
 
 
 __all__ = [
-    "AdmissibleSet",
     "AmpleResult",
     "Certificate",
     "ConditionAResult",
@@ -542,7 +520,7 @@ __all__ = [
     "ConditionCResult",
     "InvariantsResult",
     "SweepData",
-    "admissible_set",
+    "admissible",
     "build_sweep",
     "check_ample",
     "check_condition_a",

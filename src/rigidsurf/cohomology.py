@@ -4,12 +4,12 @@ A fat point of multiplicity h imposes the vanishing of all partial
 derivatives of order < h (characteristic zero).  The conditions matrix
 for degree-t forms has one row per derivative condition and one column
 per degree-t monomial; its rank over Q decides everything.  The exact
-rank uses fraction-free (Bareiss) elimination on integer matrices; a
-modular fast path certifies full row rank, which is what the large
-verification sweep needs, falling back to the exact rank otherwise.
-The sweep's schemes all live on one point set, so :func:`regularities`
-scans them together: per degree, one bank of conditions rows and one
-stacked elimination mod a prime for each matrix shape.
+rank uses fraction-free (Bareiss) elimination on integer matrices;
+full row rank mod the one prime ``RANK_PRIME`` certifies full rank,
+which is what the large verification sweep needs, and Bareiss settles
+every other case.  The sweep's schemes all live on one point set, so
+:func:`regularities` scans them together: per degree, one bank of
+conditions rows and one stacked elimination mod the prime per shape.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .modp import rank_mod, ranks_mod
 from .picard import canonical_class
 from .projective import ProjectivePoint
 
-RANK_PRIMES = (2_147_483_629, 2_147_483_587)
+RANK_PRIME = 2_147_483_629
 # int64 row operations multiply two residues, exact only below 2^62
-assert all(q < 2**31 for q in RANK_PRIMES)
+assert RANK_PRIME < 2**31
 
 
 @dataclass(frozen=True)
@@ -229,9 +229,10 @@ def hilbert_rank(scheme: FatPointScheme, t: int) -> int:
 def h1_is_zero(scheme: FatPointScheme, t: int) -> bool:
     """Exact decision of h1 = 0 in degree t, certificate-first.
 
-    Full row rank mod a prime certifies full rank over Q (any nonzero
-    minor mod q is nonzero over Z); when no prime certifies it, the
-    exact rank settles the question.
+    Fewer monomials than the scheme degree decide it at once.  Otherwise
+    full row rank mod ``RANK_PRIME`` certifies full rank over Q (a
+    nonzero minor mod q is nonzero over Z); when the prime does not
+    certify it, the exact rank settles the question.
     """
     if not scheme.points:
         return True
@@ -240,9 +241,8 @@ def h1_is_zero(scheme: FatPointScheme, t: int) -> bool:
     deg = scheme.degree
     if comb(t + 2, 2) < deg:
         return False
-    for q in RANK_PRIMES:
-        if rank_mod(conditions_matrix_mod(scheme, t, q), q) == deg:
-            return True
+    if rank_mod(conditions_matrix_mod(scheme, t, RANK_PRIME), RANK_PRIME) == deg:
+        return True
     return hilbert_rank(scheme, t) == deg
 
 
@@ -301,15 +301,18 @@ def regularities(points, mults, starts) -> np.ndarray:
     scanned upward as by ``regularity(scheme, fast=True)`` from that
     bound, with the same decisions:
 
-    - at degree t, every scheme's conditions matrix mod the first rank
-      prime, exactly as :func:`conditions_matrix_mod` builds it, is a
-      row selection from one bank: the conditions matrix of all points
-      at the largest multiplicity;
+    - at degree t, every scheme's conditions matrix mod ``RANK_PRIME``,
+      exactly as :func:`conditions_matrix_mod` builds it, is a row
+      selection from one bank: the conditions matrix of all points at
+      the largest multiplicity;
     - the schemes whose matrices share a shape are ranked as one stack;
       full rank (the degree) certifies h1 = 0 at t;
-    - any other scheme goes to the exact decision :func:`h1_is_zero`
-      (both primes, then Bareiss) and moves on to t + 1 only when h1
-      does not vanish there.
+    - any other scheme has its exact rank taken (:func:`hilbert_rank`,
+      by Bareiss) and moves on to t + 1 only when h1 does not vanish
+      there.
+
+    These are the decisions of :func:`h1_is_zero`, and each (scheme,
+    degree) is ranked mod the prime only once.
     """
     points = tuple(points)
     mults = np.clip(np.asarray(mults, dtype=np.int64).reshape(-1, len(points)), 0, None)
@@ -335,7 +338,7 @@ def regularities(points, mults, starts) -> np.ndarray:
     n_rows = np.bincount(owner, weights=n, minlength=count).astype(np.int64)
     first_row = np.cumsum(n_rows) - n_rows
     full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
-    q = RANK_PRIMES[0]
+    q = RANK_PRIME
 
     live = np.nonzero(deg)[0]
     while live.size:
@@ -349,7 +352,7 @@ def regularities(points, mults, starts) -> np.ndarray:
             group = now[n_rows[now] == size]
             ranks = ranks_mod(bank[bank_rows[first_row[group][:, None] + np.arange(size)]], q)
             for k, certified in zip(group.tolist(), (ranks == deg[group]).tolist()):
-                if certified or h1_is_zero(fat_points(points, mults[k]), level):
+                if certified or hilbert_rank(fat_points(points, mults[k]), level) == deg[k]:
                     regs[k] = level + 1
                 else:
                     t[k] += 1
@@ -357,27 +360,14 @@ def regularities(points, mults, starts) -> np.ndarray:
     return regs
 
 
-def h0_canonical_twist(labels: LabelMap, table: IncidenceTable, chi) -> int:
-    """h0 of the character class tensored with K.
-
-    Computed downstairs as h0 of the fat-point ideal sheaf in the twist
-    degree d through the exact rank path.
-    """
-    scheme, d = ideal_of_chi(labels, table, chi)
-    if d < 0:
-        return 0
-    return h0_h1(scheme, d)[0]
-
-
 __all__ = [
     "EMPTY",
     "FatPointScheme",
-    "RANK_PRIMES",
+    "RANK_PRIME",
     "bareiss_rank",
     "conditions_matrix",
     "conditions_matrix_mod",
     "fat_points",
-    "h0_canonical_twist",
     "h0_h1",
     "h1_is_zero",
     "hilbert_rank",

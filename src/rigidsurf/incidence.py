@@ -58,12 +58,6 @@ class IncidenceProblem:
             if not incident(pt, ln):
                 raise ValueError(f"realization violates relation ({p}, {l})")
 
-    def point_of(self, name: str) -> ProjectivePoint:
-        return self.fixed_points.get(name) or self.realization[name]
-
-    def line_of(self, name: str) -> ProjectiveLine:
-        return self.fixed_lines.get(name) or self.realization[name]
-
 
 @dataclass(frozen=True)
 class EliminationStep:

@@ -7,7 +7,7 @@ import numpy as np
 from rigidsurf.arrangement import Arrangement, BASE_POINTS, closure, singular_points
 from rigidsurf.certify import (
     _scheme_of,
-    admissible_set,
+    admissible,
     build_sweep,
     check_ample,
     check_condition_a,
@@ -16,8 +16,9 @@ from rigidsurf.certify import (
     invariants,
     line_bounds,
 )
-from rigidsurf.cohomology import h1_is_zero, regularity
-from rigidsurf.cover import random_label_search
+from rigidsurf.cohomology import h0_h1, h1_is_zero, ideal_of_chi, regularity
+from rigidsurf.cover import all_characters, chi_class, random_label_search
+from rigidsurf.picard import hyperplane, intersect, strict_transform
 from rigidsurf.projective import incident, join, point
 
 
@@ -120,21 +121,54 @@ def test_condition_c(sweep):
     assert res.min_slack >= 0
 
 
-def test_admissible_set_membership(labels, table, sweep):
-    adm = admissible_set(labels, table, (0, 0, 0, 1))
+def test_sweep_matches_scalar_character_classes(labels, table, sweep):
+    # the vectorized class coefficients and fat-point schemes against the
+    # one-character constructions, on every character
+    chars = all_characters(7, 4)
+    assert sweep.chars.tolist() == [list(chi) for chi in chars]
+    for idx, chi in enumerate(chars):
+        cls = chi_class(labels, table, chi)
+        assert cls.h == sweep.c_chi[idx]
+        assert cls.e == tuple(-sweep.e_floor[idx])
+        assert _scheme_of(sweep, idx) == ideal_of_chi(labels, table, chi)
+
+
+def _admissible_lines(labels, table, chi):
+    """Admissible strict transforms of one character, from its class."""
+    h_minus = hyperplane(table.num_points) - chi_class(labels, table, chi)
+    return [
+        i
+        for i, lab in enumerate(labels.line_labels)
+        if sum(c * x for c, x in zip(chi, lab)) % labels.p != labels.p - 1
+        and intersect(h_minus, strict_transform(i, table)) < 0
+    ]
+
+
+def test_admissible_matches_scalar_membership(labels, table, sweep):
+    adm = admissible(sweep)
+    assert adm.shape == (7**4, 34)
+    for idx, chi in enumerate(all_characters(7, 4)):
+        assert np.nonzero(adm[idx])[0].tolist() == _admissible_lines(labels, table, chi)
+
+
+def test_admissible_set_membership(sweep):
+    # row 1 is the character (0, 0, 0, 1)
+    members = np.nonzero(admissible(sweep)[1])[0].tolist()
     # membership excludes pairing 6 and requires strict negativity
-    for i in adm.members:
+    for i in members:
         assert sweep.pair_lines[1][i] != 6
-    assert 25 in adm.members  # the -13 example line
+    assert 25 in members  # the -13 example line
 
 
-def test_admissible_set_critical_character(labels, table):
-    # the critical character at (2:1:0): the two lines pairing to zero
-    # must be admissible so the count bound at that point is met
-    adm = admissible_set(labels, table, (5, 4, 3, 0))
+def test_admissible_set_critical_character(table, sweep):
+    # the critical character (5, 4, 3, 0), row 1,932, at (2:1:0): the two
+    # lines pairing to zero must be admissible so the count bound at that
+    # point is met
+    assert sweep.chars[1932].tolist() == [5, 4, 3, 0]
+    members = admissible(sweep)[1932]
     k = table.point_index(point(2, 1, 0))
     through = table.lines_through[k]
-    members_through = [i for i in through if i in adm.members]
+    members_through = [i for i in through if members[i]]
     assert len(members_through) >= 2
 
 
@@ -250,14 +284,13 @@ def test_full_certificate_fails_on_labels_not_divisible(heart, labels):
 
 
 def test_canonical_twist_matches_lattice_count(sweep, labels, table, cond_a):
-    from rigidsurf.cohomology import h0_canonical_twist
     from math import comb
 
     # exact elimination route equals the lattice section count for a
     # sample of characters (the h1-vanishing collapse)
     for (idx, _reg, d), deg in list(zip(cond_a.per_chi, cond_a.degrees))[::401]:
         chi = tuple(int(x) for x in sweep.chars[idx])
-        assert h0_canonical_twist(labels, table, chi) == comb(d + 2, 2) - deg
+        assert h0_h1(*ideal_of_chi(labels, table, chi))[0] == comb(d + 2, 2) - deg
 
 
 def test_invariants_on_synthetic_cover():
@@ -266,6 +299,6 @@ def test_invariants_on_synthetic_cover():
     table = singular_points(arr)
     found = random_label_search(table, 5, 3, seed=4)
     sweep = build_sweep(found.labels, table)
-    inv = invariants(sweep)
+    inv = invariants(sweep, check_condition_a(sweep))
     assert inv.q >= 0
     assert inv.chi == 1 - inv.q + inv.pg

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from rigidsurf.cohomology import RANK_PRIMES
+from rigidsurf.cohomology import RANK_PRIME
 from rigidsurf.modp import echelon_mod, rank_mod, ranks_mod, solve_mod
 
-PRIMES = (7, RANK_PRIMES[0])
+PRIMES = (7, RANK_PRIME)
 
 
 def _oracle_rank(rows, q) -> int:
