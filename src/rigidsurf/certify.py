@@ -6,8 +6,9 @@ The character sweep is exact throughout: lattice arithmetic is plain
 integer arithmetic (vectorized in int64, far from overflow), and every
 cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
-Condition (a) ranks the witnesses of all characters in stacks of equally
-shaped matrices, one batched regularity scan per worker.
+Condition (a) ranks the Euler-reduced witnesses of all characters in
+zero-padded stacks of similar row counts, one batched regularity scan
+per worker.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,7 +110,9 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
 
     reg comes from one certified upward scan over all characters
     (:func:`regularities`), starting at the line bounds; with several
-    workers, each scans a contiguous slice of the characters.  h1 in
+    workers, each scans a contiguous slice of the characters.  The
+    workers are capped by the CPU count and the number of characters;
+    the output does not depend on their number.  h1 in
     degree d feeds the irregularity computation: when reg < d it
     vanishes by upward persistence, and only otherwise is it decided on
     its own.
@@ -116,13 +120,14 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     points = sweep.table.points
     mults = sweep.h_mult[1:]
     starts = line_bounds(sweep)[1:]
-    if threads > 1:
-        cuts = np.linspace(0, len(mults), threads + 1).astype(int)
+    workers = min(threads, os.cpu_count() or 1, len(mults))
+    if workers > 1:
+        cuts = np.linspace(0, len(mults), workers + 1).astype(int)
         slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 regularities,
-                [points] * threads,
+                [points] * workers,
                 [mults[s] for s in slices],
                 [starts[s] for s in slices],
             )
@@ -431,7 +436,8 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     Chains the double-point certification of the incidence problem, the
     label validation, the three character conditions, ampleness, and
     the invariants; the overall verdict passes only if every section
-    does.
+    does.  The character sections are skipped, and recorded so, when
+    the incidence or the building data fails.
     """
     table = singular_points(heart.arrangement)
     if labels is None:
@@ -491,15 +497,18 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     timings["ampleness"] = time.perf_counter() - t0
     sections["ampleness"] = {"verdict": ample.verdict, **ample.conditions}
 
-    # the character sweep needs valid building data: build_sweep raises
-    # on labels that are not divisible, and any other failure already
-    # decides the verdict
-    if validation.all_ok:
+    # the character sweep needs a certified incidence and valid building
+    # data: build_sweep raises on labels that are not divisible, and any
+    # other failure already decides the verdict
+    skipped = None if validation.all_ok else "building_data failed"
+    if not sections["incidence"]["verdict"]:
+        skipped = "incidence failed"
+    if skipped is None:
         sweep = build_sweep(labels, table)
         sweep_ok = _character_sections(sweep, heart, threads, sections, timings)
     else:
         for name in ("condition_a", "condition_b", "condition_c", "invariants"):
-            sections[name] = {"skipped": "building_data failed"}
+            sections[name] = {"skipped": skipped}
         sweep_ok = False
 
     all_pass = (

@@ -41,15 +41,21 @@ def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         pivot_rows = stack[hit, piv, c:]
         stack[hit, piv, c:] = stack[hit, top, c:]
         lo = int(top.min())
-        sel = slice(None) if hit.size == count else hit
-        block = stack[sel, lo:, c:]
+        # a view of the stack when every matrix has a pivot here, else a copy
+        block = stack[slice(None) if hit.size == count else hit, lo:, c:]
         below = (row_ids[lo:] > top[:, None])[:, :, None]
         f = np.where(below, block[:, :, :1], 0)
-        scale = np.where(below, pivot_rows[:, None, :1], 1)
-        new = block * scale - f * pivot_rows[:, None, :]
-        # new - new // q * q is new % q; numpy divides by a scalar far
-        # faster than it takes remainders
-        stack[sel, lo:, c:] = new - new // q * q
+        block *= np.where(below, pivot_rows[:, None, :1], 1)
+        scratch = f * pivot_rows[:, None, :]
+        block -= scratch
+        # block -= block // q * q is block %= q; numpy divides by a scalar
+        # far faster than it takes remainders, and one scratch buffer keeps
+        # the update to two stack-sized temporaries
+        np.floor_divide(block, q, out=scratch)
+        scratch *= q
+        block -= scratch
+        if hit.size < count:
+            stack[hit, lo:, c:] = block
         stack[hit, top, c:] = pivot_rows
         pivots[hit, top] = c
         ranks[hit] += 1

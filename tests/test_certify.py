@@ -266,6 +266,59 @@ def test_full_certificate_fails_on_duplicated_labels(heart):
     assert cert.sections["condition_a"] == {"skipped": "building_data failed"}
 
 
+def test_full_certificate_skips_the_sweep_after_incidence_fails(heart, monkeypatch):
+    # a wrong P breaks the double-point certificate while the labels stay
+    # valid; the character sweep must not run on such an input
+    import dataclasses
+
+    import rigidsurf.certify as certify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the character sweep ran after the incidence failed")
+
+    monkeypatch.setattr(certify, "check_condition_a", no_sweep)
+    cert = certify.full_certificate(dataclasses.replace(heart, P=point(1, 2, 3)))
+    s = json.loads(cert.to_json(include_timings=False))
+    assert not cert.ok and s["overall"]["verdict"] == "verification failed"
+    assert not s["incidence"]["verdict"]
+    assert s["building_data"]["verdict"] and s["ampleness"]["verdict"]
+    for name in ("condition_a", "condition_b", "condition_c", "invariants"):
+        assert s[name] == {"skipped": "incidence failed"}
+
+
+def test_condition_a_caps_the_workers(monkeypatch):
+    # a huge --threads asks for no more workers than CPUs and characters;
+    # the executor is replaced, so no process starts
+    import rigidsurf.certify as certify
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
+    table = singular_points(arr)
+    sweep = build_sweep(random_label_search(table, 3, 3, seed=2).labels, table)
+    serial = check_condition_a(sweep)
+    monkeypatch.setattr(certify.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for cpus, workers in ((3, 3), (100_000, len(sweep.chars) - 1)):
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
+        capped = check_condition_a(sweep, threads=100_000)
+        assert requested.pop() == workers
+        assert (capped.per_chi, capped.h1_at_d) == (serial.per_chi, serial.h1_at_d)
+    assert not requested
+
+
 def test_full_certificate_fails_on_labels_not_divisible(heart, labels):
     # build_sweep rejects such labels; the certificate records the
     # failure and skips the character sections instead of raising

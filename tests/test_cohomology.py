@@ -5,12 +5,15 @@ from math import comb
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rigidsurf.cohomology import (
     EMPTY,
     RANK_PRIME,
     FatPointScheme,
+    _euler_rows,
+    _orders,
+    _spanning_rows,
     bareiss_rank,
     conditions_matrix,
     conditions_matrix_mod,
@@ -24,6 +27,7 @@ from rigidsurf.cohomology import (
     regularities,
     regularity,
 )
+from rigidsurf.modp import ranks_mod
 from rigidsurf.projective import incident, join, point
 
 
@@ -195,12 +199,68 @@ def test_regularities_rank_each_degree_once_mod_the_prime(monkeypatch):
 
 def test_lower_multiplicity_rows_are_a_prefix():
     # the batched scan selects a scheme's rows from the rows of the
-    # largest multiplicity, so each point's rows must nest
+    # largest multiplicity, so each point's rows must nest, and the
+    # order-(h - 1) rows it keeps must sit where _euler_rows looks
     for pnt in FIXED_POINTS:
         top = conditions_matrix_mod(scheme((pnt.coords, 4)), 6, RANK_PRIME)
         for h in range(1, 4):
             rows = conditions_matrix_mod(scheme((pnt.coords, h)), 6, RANK_PRIME)
             assert rows.tolist() == top[: comb(h + 2, 3)].tolist()
+        for h in range(1, 5):
+            block = range(comb(h + 1, 3), comb(h + 2, 3))
+            assert {sum(_orders(4)[i]) for i in block} == {h - 1}
+            assert _euler_rows(np.array([h]), 6, np.array([0])).tolist() == list(block)
+
+
+def test_regularities_split_buckets_by_the_cell_budget(monkeypatch):
+    # a small budget splits each row bucket into several stacks; the
+    # zero-padded stacks must still give the exact scan's regularities
+    import rigidsurf.cohomology as cohomology
+
+    rng = random.Random(14)
+    rows = [[rng.choice((0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(40)]
+    schemes = [fat_points(FIXED_POINTS, row) for row in rows]
+    exact = [regularity(fat) for fat in schemes]
+    bounds = [_line_bound(fat) if fat.points else 0 for fat in schemes]
+    shapes = []
+
+    def recorded(stack, q):
+        shapes.append(stack.shape)
+        return ranks_mod(stack, q)
+
+    monkeypatch.setattr(cohomology, "ranks_mod", recorded)
+    for starts in ([0] * len(rows), bounds):
+        assert regularities(FIXED_POINTS, rows, starts).tolist() == exact
+    unsplit = len(shapes)
+    shapes.clear()
+    monkeypatch.setattr(cohomology, "_STACK_CELLS", 400)
+    for starts in ([0] * len(rows), bounds):
+        assert regularities(FIXED_POINTS, rows, starts).tolist() == exact
+    assert len(shapes) > unsplit
+    assert all(b == 1 or b * r * c <= 400 for b, r, c in shapes)
+    assert any(b > 1 for b, _, _ in shapes)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3), st.integers(1, 4)),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda v: point(v[:3]),
+    ),
+    st.integers(0, 8),
+)
+@example([(1, 0, 1, 4), (0, 1, 1, 3)], 1)
+def test_euler_rows_keep_the_rank(pairs, t):
+    # the Euler-reduced rows have the rank of every order, computed
+    # independently by symbolic differentiation, also for t < h - 1
+    fat = FatPointScheme(tuple((point(v[:3]), v[3]) for v in pairs))
+    rows = conditions_matrix(fat, t)
+    kept = [rows[i] for i in _spanning_rows(fat, t)]
+    assert bareiss_rank(kept) == hilbert_rank(fat, t) == oracle_rank(fat, t)
+    if t >= max(h for _, h in fat.points) - 1:
+        assert len(kept) == fat.degree
 
 
 def test_regularities_cap_the_scan():

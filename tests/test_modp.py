@@ -84,6 +84,31 @@ def test_ranks_mod_matches_sympy_per_matrix(case):
     assert [rank_mod(mat, q) for mat in stack] == oracle
 
 
+@st.composite
+def padded_stacks(draw):
+    """(matrices, stack, q): matrices of mixed row counts, zero-padded to one R."""
+    q = draw(st.sampled_from(PRIMES))
+    cols = draw(st.integers(0, 6))
+    entry = st.integers(-3, 3) if draw(st.booleans()) else st.integers(-(2**40), 2**40)
+    mats = [
+        _draw_matrix(draw, entry, draw(st.integers(0, 6)), cols)
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    stack = np.zeros((len(mats), max(len(m) for m in mats), cols), dtype=np.int64)
+    for slot, mat in zip(stack, mats):
+        slot[: len(mat)] = mat
+    return mats, stack, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(padded_stacks())
+def test_ranks_mod_on_zero_padded_stacks(case):
+    # zero rows leave each rank alone, so one padded stack ranks matrices
+    # whose true row counts differ
+    mats, stack, q = case
+    assert ranks_mod(stack, q).tolist() == [_oracle_rank(m.tolist(), q) for m in mats]
+
+
 def test_ranks_mod_mixes_ranks_in_one_stack():
     # GF(7): the middle matrix loses both pivots in column 0, the last is zero
     stack = np.array(
