@@ -176,7 +176,10 @@ def cmd_lambda(args) -> int:
     arr, _, heart = _load_arrangement(args.infile)
     table = arrmod.singular_points(arr)
     if args.action == "search":
-        result = covermod.random_label_search(table, args.p, args.r, args.seed)
+        try:
+            result = covermod.random_label_search(table, args.p, args.r, args.seed)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         payload = {
             "attempts": result.attempts,
             "line_labels": [list(l) for l in result.labels.line_labels],

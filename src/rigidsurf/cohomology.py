@@ -7,11 +7,13 @@ per degree-t monomial; its rank over Q decides everything.  Euler's
 identity, (t - k) g(P) = sum_i P_i d_i g(P) for an order-k partial g of
 a degree-t form, makes the rows of order k = min(h - 1, t) span a
 point's rows, so every rank is taken on those alone: exactly deg rows
-once t >= h - 1.  The exact rank uses fraction-free (Bareiss) elimination on integer matrices;
+once t >= h - 1, and the exact rank builds only those rows.  The exact
+rank uses fraction-free (Bareiss) elimination on integer matrices;
 full row rank mod the one prime ``RANK_PRIME`` certifies full rank,
 which is what the large verification sweep needs, and Bareiss settles
-every other case.  The sweep's schemes all live on one point set, so
-:func:`regularities` scans them together: per degree, one bank of
+every other case.  The prime is small enough for the elimination to
+run on int32 residues.  The sweep's schemes all live on one point set,
+so :func:`regularities` scans them together: per degree, one bank of
 conditions rows and a few stacked eliminations mod the prime, one per
 bucket of similar row counts.
 """
@@ -25,13 +27,16 @@ import numpy as np
 
 from .arrangement import IncidenceTable
 from .cover import LabelMap, chi_class
-from .modp import rank_mod, ranks_mod
+from .modp import kernel_dtype, rank_mod, ranks_mod
 from .picard import canonical_class
 from .projective import ProjectivePoint
 
-RANK_PRIME = 2_147_483_629
-# int64 row operations multiply two residues, exact only below 2^62
-assert RANK_PRIME < 2**31
+# the largest prime q with (q - 1)^2 < 2^31, so that the residues and
+# every fraction-free row update of the stacked elimination fit int32
+# (modp.kernel_dtype); a smaller prime can only send more schemes to the
+# exact fallback, never change a verdict
+RANK_PRIME = 46_337
+assert kernel_dtype(RANK_PRIME) == np.int32
 
 # regularities buckets the schemes of one degree by their row count
 # rounded up to the next cap of a x1.25 sequence, and ranks each bucket
@@ -40,7 +45,11 @@ assert RANK_PRIME < 2**31
 # x2 56 in 0.54 s and x1.1 75 in 0.55 s.  Unsplit, the x1.25 buckets
 # reach 271,890 cells (55,728 for one stack per exact shape) and raise
 # the certificate's peak RSS from 45.9 to 51.3 MB; split at 65,536
-# cells it stays at 45.3 MB.
+# cells it stays at 45.3 MB.  Re-measured with int32 residues (4 rounds
+# of 7 in-process certificates): medians 0.39-0.43 s for x1.25 and
+# 65,536 cells, 0.37-0.41 s for 131,072 cells, 0.38-0.40 s for x1.5,
+# 0.37-0.43 s for x1.1 and 0.30-0.46 s for x2, peak RSS 44-45 MB
+# throughout; no setting is clearly faster, so the constants stay.
 _ROW_RATIO = 1.25
 _STACK_CELLS = 65_536
 
@@ -134,15 +143,15 @@ def _spanning_rows(scheme: FatPointScheme, t: int) -> np.ndarray:
     return _euler_rows(h, t, np.cumsum(size) - size)
 
 
-def _condition_rows(pnt: ProjectivePoint, h: int, mons, powers):
-    """Rows for the order < h vanishing conditions at one point.
+def _condition_rows(pnt: ProjectivePoint, orders, mons, powers):
+    """Rows for the vanishing of the derivatives ``orders`` at one point.
 
     ``powers[x]`` maps an integer coordinate value to its power table;
     entries are falling-factorial times monomial derivative evaluations.
     """
     x, y, z = pnt.coords
     rows = []
-    for a, b, c in _orders(h):
+    for a, b, c in orders:
         row = []
         for e0, e1, e2 in mons:
             if e0 < a or e1 < b or e2 < c:
@@ -179,7 +188,22 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
     powers = _power_tables(scheme, t)
     rows: list[list[int]] = []
     for pnt, h in scheme.points:
-        rows.extend(_condition_rows(pnt, h, mons, powers))
+        rows.extend(_condition_rows(pnt, _orders(h), mons, powers))
+    return rows
+
+
+def _euler_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
+    """The rows of ``conditions_matrix(scheme, t)`` that :func:`_spanning_rows` keeps.
+
+    Only the rows of order k = min(h - 1, t) of each point are built:
+    the last C(k+2, 2) of the orders below k + 1.
+    """
+    mons = monomials(t)
+    powers = _power_tables(scheme, t)
+    rows: list[list[int]] = []
+    for pnt, h in scheme.points:
+        k = min(h - 1, t)
+        rows.extend(_condition_rows(pnt, _orders(k + 1)[comb(k + 2, 3):], mons, powers))
     return rows
 
 
@@ -261,16 +285,15 @@ def bareiss_rank(matrix) -> int:
 def hilbert_rank(scheme: FatPointScheme, t: int) -> int:
     """Exact rank of the degree-t conditions matrix (t >= 0).
 
-    Bareiss runs on the Euler-reduced rows (:func:`_euler_rows`), which
-    have the rank of the whole matrix for every t >= 0: deg rows once
-    t >= h - 1 at every point.
+    Bareiss runs on the Euler-reduced rows (:func:`_euler_matrix`, the
+    only rows it builds), which have the rank of the whole matrix for
+    every t >= 0: deg rows once t >= h - 1 at every point.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     if not scheme.points:
         return 0
-    rows = conditions_matrix(scheme, t)
-    return bareiss_rank([rows[i] for i in _spanning_rows(scheme, t)])
+    return bareiss_rank(_euler_matrix(scheme, t))
 
 
 def h1_is_zero(scheme: FatPointScheme, t: int) -> bool:
@@ -356,8 +379,10 @@ def regularities(points, mults, starts) -> np.ndarray:
       ``RANK_PRIME`` (:func:`_euler_rows` of what
       :func:`conditions_matrix_mod` builds) is a row selection from one
       bank: the conditions matrix of all points at the largest
-      multiplicity.  The scan starts where C(t+2, 2) >= deg, so
-      t >= h - 1 at every point and each matrix has exactly deg rows;
+      multiplicity, cast once to the elimination's dtype, so the
+      gathered stacks are eliminated without another reduction.  The
+      scan starts where C(t+2, 2) >= deg, so t >= h - 1 at every point
+      and each matrix has exactly deg rows;
     - the schemes are bucketed by deg rounded up to the next cap of a
       x1.25 sequence and ranked as stacks of at most ``_STACK_CELLS``
       cells, each padded with zero rows (which leave a rank alone) to
@@ -404,7 +429,7 @@ def regularities(points, mults, starts) -> np.ndarray:
         over = now[level > bound[now]]
         if over.size:
             raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
-        bank = conditions_matrix_mod(full, level, q)
+        bank = conditions_matrix_mod(full, level, q).astype(kernel_dtype(q))
         cap = caps[np.searchsorted(caps, deg[now])]
         for bucket in np.unique(cap).tolist():
             group = now[cap == bucket]

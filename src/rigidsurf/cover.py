@@ -242,6 +242,16 @@ class SearchResult:
     accepted: bool
 
 
+def _require_classes(count: int, p: int, r: int) -> None:
+    """Refuse a draw of ``count`` labels in distinct classes that P^{r-1}(F_p) cannot hold."""
+    classes = (p**r - 1) // (p - 1)
+    if count > classes:
+        raise ValueError(
+            f"{count} labels in distinct projective classes are needed, "
+            f"but P^{r - 1}(F_{p}) has only {classes} classes"
+        )
+
+
 def _draw_distinct_projective(rng: np.random.Generator, count: int, p: int, r: int):
     """Draw nonzero labels representing pairwise distinct projective points."""
     out: list[Vector] = []
@@ -263,10 +273,12 @@ def random_label_search(table: IncidenceTable, p: int, r: int, seed: int) -> Sea
     checked first; the full validation runs only on candidates that
     survive it.  Deterministic for a given seed; the attempt count is
     reported so acceptance rates can be compared with the birthday
-    estimate.
+    estimate.  Raises ValueError when the n line and m point labels
+    outnumber the classes of P^{r-1}(F_p), so no map can be injective.
     """
-    rng = np.random.default_rng(seed)
     n = len(table.arrangement.lines)
+    _require_classes(n + table.num_points, p, r)
+    rng = np.random.default_rng(seed)
     for attempt in range(1, MAX_SEARCH_ATTEMPTS + 1):
         partial = _draw_distinct_projective(rng, n - 1, p, r)
         labels = complete_labels(partial, table, p, r)
@@ -299,10 +311,13 @@ def empirical_acceptance(
     An attempt draws n-1 projectively distinct line labels (in bulk:
     uniform draws filtered for distinctness), completes them, and
     succeeds when all completed labels are nonzero and pairwise distinct
-    in P^{r-1}(F_p).  Returns (successes, attempts).
+    in P^{r-1}(F_p).  Returns (successes, attempts).  Raises ValueError
+    when the n - 1 drawn labels outnumber the classes, so no draw is
+    distinct.
     """
     rng = np.random.default_rng(seed)
     n = len(table.arrangement.lines)
+    _require_classes(n - 1, p, r)
     inc = table.incidence
     successes = 0
     done = 0

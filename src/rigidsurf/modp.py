@@ -1,9 +1,12 @@
 """Exact linear algebra over F_q: row echelon form, rank and solving.
 
-Entries are int64 residues; a row update multiplies two residues, which
-stays exact only for q < 2^31.  The rank is a lower bound for the rank
-over Q of the integer matrix it reduces, and equals it whenever it is
-full (a nonzero minor mod q is nonzero over Z).
+Entries are residues in [0, q), held in the narrowest integer dtype that
+keeps a row update exact (:func:`kernel_dtype`): a fraction-free update
+multiplies two residues, so the products stay within (q - 1)^2.  That is
+int32 when (q - 1)^2 < 2^31 (q <= 46,337) and int64 for every other
+q < 2^31, the bound the functions here accept.  The rank is a lower
+bound for the rank over Q of the integer matrix it reduces, and equals
+it whenever it is full (a nonzero minor mod q is nonzero over Z).
 """
 
 from __future__ import annotations
@@ -14,6 +17,18 @@ from itertools import product
 import numpy as np
 
 
+def kernel_dtype(q: int) -> type:
+    """The dtype of the residues mod q: int32 when (q - 1)^2 < 2^31, else int64.
+
+    A row update forms pv * row - f * pivot_row from residues, so each
+    product and their difference stay within (q - 1)^2 in absolute
+    value, and reducing it with ``v - v // q * q`` passes through
+    values within q (q - 1); both fit int32 exactly when (q - 1)^2 < 2^31.
+    """
+    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
+    return np.int32 if (q - 1) ** 2 < 2**31 else np.int64
+
+
 def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Forward elimination of a (B, R, C) stack of residue matrices, in place.
 
@@ -21,9 +36,11 @@ def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     with pv the pivot and f the row's entry in the pivot column.  Scaling
     a row by the nonzero pv keeps the row space, so no inverse is needed,
     and the swaps and pivot columns are those of elimination with
-    normalized pivots.  Returns the ranks (B,) and the pivot columns
+    normalized pivots.  The stack holds residues in [0, q) of
+    ``kernel_dtype(q)``.  Returns the ranks (B,) and the pivot columns
     (B, min(R, C)), -1 past each rank.
     """
+    assert stack.dtype == kernel_dtype(q), "the stack must hold residues of the kernel dtype"
     count, rows, cols = stack.shape
     ranks = np.zeros(count, dtype=np.int64)
     pivots = np.full((count, min(rows, cols)), -1, dtype=np.int64)
@@ -65,8 +82,8 @@ def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residues(matrix, q: int) -> np.ndarray:
-    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
-    return np.asarray(matrix, dtype=np.int64) % q
+    """A new array of ``matrix`` mod q, in ``kernel_dtype(q)``."""
+    return (np.asarray(matrix, dtype=np.int64) % q).astype(kernel_dtype(q), copy=False)
 
 
 def echelon_mod(matrix, q: int) -> tuple[np.ndarray, list[int]]:
@@ -90,9 +107,16 @@ def ranks_mod(stack, q: int) -> np.ndarray:
     """Ranks over F_q of a (B, R, C) stack of equally shaped integer matrices.
 
     One elimination runs over the whole stack, one column at a time, so
-    the Python-level cost is paid per column rather than per matrix.
+    the Python-level cost is paid per column rather than per matrix.  A
+    stack that already holds residues in [0, q) of ``kernel_dtype(q)``,
+    as the conditions banks do, is eliminated in place; any other input
+    is first reduced into a new array.
     """
-    return _eliminate(_residues(stack, q), q)[0]
+    stack = np.asarray(stack)
+    reduced = stack.dtype == kernel_dtype(q) and (
+        not stack.size or (stack.min() >= 0 and stack.max() < q)
+    )
+    return _eliminate(stack if reduced else _residues(stack, q), q)[0]
 
 
 @dataclass(frozen=True)
@@ -144,4 +168,4 @@ def solve_mod(rows, rhs, q: int) -> AffineSolutionSet | None:
     return AffineSolutionSet(particular, basis)
 
 
-__all__ = ["AffineSolutionSet", "echelon_mod", "rank_mod", "ranks_mod", "solve_mod"]
+__all__ = ["AffineSolutionSet", "echelon_mod", "kernel_dtype", "rank_mod", "ranks_mod", "solve_mod"]

@@ -113,6 +113,20 @@ def test_lambda_search_on_bundled_data(capsys):
     assert len(payload["point_labels"]) == 51
 
 
+def test_lambda_search_refuses_too_few_classes(capsys, tmp_path):
+    # the first closure stage of the base points: 6 lines and 4 points
+    # need 10 distinct labels, and P^1(F_3) has 4 classes
+    from rigidsurf.arrangement import BASE_POINTS, closure
+
+    path = tmp_path / "quadrilateral.json"
+    path.write_text(arrangement_to_json(Arrangement(closure(BASE_POINTS, 1)[0].lines)))
+    code = main(["lambda", "search", "--in", str(path), "--p", "3", "--r", "2", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "10 labels" in captured.err and "only 4 classes" in captured.err
+
+
 def test_certify_takes_no_input_files(capsys, tmp_path):
     # certify runs only the bundled dataset; input flags are usage errors
     for flag in ("--in", "--labels"):

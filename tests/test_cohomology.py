@@ -11,6 +11,7 @@ from rigidsurf.cohomology import (
     EMPTY,
     RANK_PRIME,
     FatPointScheme,
+    _euler_matrix,
     _euler_rows,
     _orders,
     _spanning_rows,
@@ -261,6 +262,47 @@ def test_euler_rows_keep_the_rank(pairs, t):
     assert bareiss_rank(kept) == hilbert_rank(fat, t) == oracle_rank(fat, t)
     if t >= max(h for _, h in fat.points) - 1:
         assert len(kept) == fat.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3), st.integers(1, 4)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda v: point(v[:3]),
+    ),
+    st.integers(0, 8),
+)
+@example([(1, 0, 1, 4), (0, 1, 1, 3)], 0)
+@example([(1, 0, 1, 4), (2, 1, 1, 1)], 2)
+def test_euler_matrix_is_the_spanning_selection(pairs, t):
+    # the exact fallback builds only the order-min(h - 1, t) rows; they
+    # must be exactly the rows _spanning_rows keeps of the full matrix,
+    # in the same order, also for t < h - 1
+    fat = FatPointScheme(tuple((point(v[:3]), v[3]) for v in pairs))
+    rows = conditions_matrix(fat, t)
+    assert _euler_matrix(fat, t) == [rows[i] for i in _spanning_rows(fat, t)]
+
+
+def test_bundled_sweep_falls_back_only_on_true_deficiencies(sweep, cond_a, monkeypatch):
+    # the stacks mod RANK_PRIME leave 23 schemes short of full rank, and
+    # the full conditions matrix of each is short over Q as well: the
+    # int32-sized prime adds no fallback a larger prime would have avoided
+    import rigidsurf.cohomology as cohomology
+    from rigidsurf.certify import check_condition_a
+
+    fallbacks = []
+
+    def recorded(fat, t):
+        fallbacks.append((fat, t))
+        return hilbert_rank(fat, t)
+
+    monkeypatch.setattr(cohomology, "hilbert_rank", recorded)
+    assert check_condition_a(sweep) == cond_a
+    assert len(fallbacks) == 23
+    for fat, t in fallbacks:
+        assert bareiss_rank(conditions_matrix(fat, t)) < fat.degree
 
 
 def test_regularities_cap_the_scan():

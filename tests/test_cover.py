@@ -306,6 +306,20 @@ def test_search_finds_valid_labels_on_small_arrangement():
     assert again.labels == result.labels and again.attempts == result.attempts
 
 
+def test_search_refuses_more_labels_than_projective_classes():
+    # six lines and four points need ten distinct classes; P^1(F_3) has
+    # four, so no draw can succeed and the search must refuse at once
+    arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
+    table = singular_points(arr)
+    with pytest.raises(ValueError, match="10 labels .* only 4 classes"):
+        random_label_search(table, 3, 2, seed=2)
+    # five drawn line labels already outnumber the three classes of P^1(F_2)
+    with pytest.raises(ValueError, match="5 labels .* only 3 classes"):
+        empirical_acceptance(table, 2, 2, seed=2, attempts=10)
+    # exactly as many classes as labels is allowed: P^2(F_3) has 13
+    assert random_label_search(table, 3, 3, seed=2).accepted
+
+
 def test_empirical_acceptance_seeded_reproducible(table):
     a = empirical_acceptance(table, 7, 4, seed=13, attempts=2000)
     b = empirical_acceptance(table, 7, 4, seed=13, attempts=2000)

@@ -5,9 +5,12 @@ from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from rigidsurf.cohomology import RANK_PRIME
-from rigidsurf.modp import echelon_mod, rank_mod, ranks_mod, solve_mod
+from rigidsurf.modp import echelon_mod, kernel_dtype, rank_mod, ranks_mod, solve_mod
 
-PRIMES = (7, RANK_PRIME)
+# 7 and RANK_PRIME run the int32 kernel, the prime just below 2^31 the int64 one
+PRIMES = (7, RANK_PRIME, 2_147_483_587)
+INT32_LARGEST = 46_337  # the largest prime q with (q - 1)^2 < 2^31
+INT64_SMALLEST = 46_349  # the next prime
 
 
 def _oracle_rank(rows, q) -> int:
@@ -77,9 +80,9 @@ def stacks(draw):
 @given(stacks())
 def test_ranks_mod_matches_sympy_per_matrix(case):
     stack, q = case
+    oracle = [_oracle_rank(mat.tolist(), q) for mat in stack]
     ranks = ranks_mod(stack, q)
     assert ranks.shape == (stack.shape[0],)
-    oracle = [_oracle_rank(mat.tolist(), q) for mat in stack]
     assert ranks.tolist() == oracle
     assert [rank_mod(mat, q) for mat in stack] == oracle
 
@@ -177,3 +180,79 @@ def test_echelon_mod_rejects_wide_modulus():
         echelon_mod([[1]], 2**31 + 11)
     with pytest.raises(AssertionError):
         ranks_mod(np.ones((1, 1, 1), dtype=np.int64), 2**31 + 11)
+
+
+def test_kernel_dtype_follows_the_product_bound():
+    assert RANK_PRIME == INT32_LARGEST
+    for q in (2, 7, 46_337):
+        assert kernel_dtype(q) == np.int32
+    for q in (46_349, 1_000_003, 2_147_483_587):
+        assert kernel_dtype(q) == np.int64
+    with pytest.raises(AssertionError):
+        kernel_dtype(2**31 + 11)
+
+
+@st.composite
+def extreme_stacks(draw):
+    """(stack, q): entries in {0, 1, q - 2, q - 1} at either side of the int32 bound.
+
+    Products of residues near q - 1 come closest to (q - 1)^2, the bound
+    the int32 kernel relies on.
+    """
+    q = draw(st.sampled_from((INT32_LARGEST, INT64_SMALLEST)))
+    count = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    entry = st.sampled_from((0, 1, q - 2, q - 1))
+    return np.stack([_draw_matrix(draw, entry, rows, cols) for _ in range(count)]), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_stacks())
+def test_ranks_mod_exact_at_the_extreme_residues(case):
+    # an update that wrapped around would leave the row space, which
+    # the rank of the input stacked on its echelon form would show
+    stack, q = case
+    oracle = [_oracle_rank(mat.tolist(), q) for mat in stack]
+    for mat, rank in zip(stack, oracle):
+        ech, pivots = echelon_mod(mat, q)
+        assert len(pivots) == rank
+        assert _oracle_rank(mat.tolist() + ech.tolist(), q) == rank
+    assert ranks_mod(stack, q).tolist() == oracle
+    assert ranks_mod(stack.astype(kernel_dtype(q)), q).tolist() == oracle
+
+
+@pytest.mark.parametrize("q, dtype", [(INT32_LARGEST, np.int32), (INT64_SMALLEST, np.int64)])
+def test_all_largest_residues_against_sympy(q, dtype):
+    full = np.full((6, 6), q - 1, dtype=np.int64)
+    # q - 1 on the diagonal, q - 2 elsewhere: nonsingular, and every
+    # elimination step multiplies residues near q - 1
+    mixed = np.full((6, 6), q - 2, dtype=np.int64)
+    np.fill_diagonal(mixed, q - 1)
+    for mat in (full, mixed):
+        ech, pivots = echelon_mod(mat, q)
+        assert ech.dtype == dtype
+        assert ech.min() >= 0 and ech.max() < q
+        assert len(pivots) == rank_mod(mat, q) == _oracle_rank(mat.tolist(), q)
+        assert _oracle_rank(mat.tolist() + ech.tolist(), q) == len(pivots)
+    assert rank_mod(full, q) == 1 and rank_mod(mixed, q) == 6
+    assert ranks_mod(np.stack([full, mixed]), q).tolist() == [1, 6]
+
+
+def test_ranks_mod_reduces_unreduced_input_of_the_kernel_dtype():
+    # negative or too large int32 entries must be reduced before the
+    # elimination, and the caller's array stays as it was
+    q = INT32_LARGEST
+    stack = np.array([[[-1, 1], [1, -1]], [[q, 1], [2 * q, q + 5]]], dtype=np.int32)
+    before = stack.copy()
+    assert ranks_mod(stack, q).tolist() == [1, 1]
+    assert (stack == before).all()
+
+
+def test_ranks_mod_eliminates_reduced_stacks_in_place():
+    # a stack of residues of the kernel dtype, as the conditions banks
+    # give, reaches the elimination without a reduced copy
+    q = INT32_LARGEST
+    stack = np.array([[[0, 2, 1], [3, 1, 4], [3, 3, 5]]], dtype=np.int32)
+    assert ranks_mod(stack, q).tolist() == [2]
+    assert stack[0, 0].tolist() == [3, 1, 4] and not stack[0, 2].any()
