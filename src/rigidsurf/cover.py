@@ -234,6 +234,13 @@ def chi_class(labels: LabelMap, table: IncidenceTable, chi: Vector) -> DivisorCl
 
 MAX_SEARCH_ATTEMPTS = 1_000_000
 
+# Attempts drawn per block by empirical_acceptance.  On 2 cores (Python
+# 3.11.7, numpy 2.4.6), 50,000 attempts in (Z/7)^4 took a median 0.46 s
+# with blocks of 2,000, 0.49 s with 500 or 1,000, 0.50 s with 10,000 and
+# 0.57 s with 50,000; the tracemalloc peak of 100,000 attempts grows with
+# the block: 3.9 MiB at 2,000, 18.9 MiB at 10,000, 93 MiB at 50,000.
+ACCEPTANCE_BLOCK = 2_000
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -249,6 +256,19 @@ def _require_classes(count: int, p: int, r: int) -> None:
         raise ValueError(
             f"{count} labels in distinct projective classes are needed, "
             f"but P^{r - 1}(F_{p}) has only {classes} classes"
+        )
+
+
+# The key table holds one int32 per vector of (Z/p)^r: at most 64 MB.
+MAX_KEY_TABLE = 2**24
+
+
+def _require_key_table(p: int, r: int) -> None:
+    """Refuse a class-key table over more than ``MAX_KEY_TABLE`` vectors."""
+    if p**r > MAX_KEY_TABLE:
+        raise ValueError(
+            f"p^r = {p}^{r} = {p**r} vectors exceed the class-key table cap "
+            f"2^24 = {MAX_KEY_TABLE}"
         )
 
 
@@ -311,28 +331,47 @@ def empirical_acceptance(
     An attempt draws n-1 projectively distinct line labels (in bulk:
     uniform draws filtered for distinctness), completes them, and
     succeeds when all completed labels are nonzero and pairwise distinct
-    in P^{r-1}(F_p).  Returns (successes, attempts).  Raises ValueError
-    when the n - 1 drawn labels outnumber the classes, so no draw is
-    distinct.
+    in P^{r-1}(F_p).  Returns (successes, attempts).
+
+    The draws stream in blocks of ``ACCEPTANCE_BLOCK`` attempts, so the
+    memory held does not grow with ``attempts``.  The count does not
+    depend on the block size: consecutive draws from one generator
+    concatenate to the stream of a single large draw, and the distinct
+    draws are taken in stream order until ``attempts`` of them are
+    counted.  Labels are read in base p as indices into a table of the
+    :func:`class_keys` of all p^r vectors, built once per call.  The
+    point labels are sums over the incident lines, taken as one float64
+    product with the incidence matrix; that is exact, as no sum exceeds
+    (p - 1) n, and it fits int32, as n - 1 labels in distinct classes
+    bound n by the p^r of the key table.
+
+    Raises ValueError when the n - 1 drawn labels outnumber the classes,
+    so no draw is distinct, and, before allocating anything, when p^r
+    exceeds ``MAX_KEY_TABLE``.
     """
-    rng = np.random.default_rng(seed)
     n = len(table.arrangement.lines)
     _require_classes(n - 1, p, r)
-    inc = table.incidence
+    _require_key_table(p, r)
+    powers = p ** np.arange(r - 1, -1, -1, dtype=np.int32)
+    key_of = class_keys(np.arange(p**r)[:, None] // powers % p, p).astype(np.int32)
+    inc_t = table.incidence.T.astype(np.float64)
+    rng = np.random.default_rng(seed)
     successes = 0
     done = 0
     while done < attempts:
-        draws = rng.integers(0, p, size=(50_000, n - 1, r), dtype=np.int64)
-        draws = draws[distinct_nonzero(class_keys(draws, p))]
-        draws = draws[: attempts - done]
-        if draws.shape[0] == 0:
-            continue
-        last = (-draws.sum(axis=1)) % p
+        draws = rng.integers(0, p, size=(ACCEPTANCE_BLOCK, n - 1, r), dtype=np.int32)
+        drawn_keys = key_of[draws @ powers]
+        kept = np.flatnonzero(distinct_nonzero(drawn_keys))[: attempts - done]
+        draws, drawn_keys = draws[kept], drawn_keys[kept]
+        last = -draws.sum(axis=1) % p
         lines_all = np.concatenate([draws, last[:, None, :]], axis=1)
-        points = (lines_all.transpose(0, 2, 1) @ inc.T).transpose(0, 2, 1) % p
-        everything = np.concatenate([lines_all, points], axis=1)
-        successes += int(distinct_nonzero(class_keys(everything, p)).sum())
-        done += draws.shape[0]
+        sums = lines_all.transpose(0, 2, 1).astype(np.float64) @ inc_t
+        points = sums.astype(np.int32).transpose(0, 2, 1) % p
+        keys = np.concatenate(
+            [drawn_keys, key_of[last @ powers][:, None], key_of[points @ powers]], axis=1
+        )
+        successes += int(distinct_nonzero(keys).sum())
+        done += kept.size
     return successes, attempts
 
 

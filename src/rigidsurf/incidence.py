@@ -216,15 +216,20 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
         fixed_pts[slot] = computed
         return EliminationStep(wave, "point", slot, witnesses, computed.coords)
 
+    # slot order is fixed once; each round walks the slots still variable
+    line_order = sorted(var_lns, key=_slot_key)
+    point_order = sorted(var_pts, key=_slot_key)
     steps: list[EliminationStep] = []
     wave = 0
     while True:
+        line_order = [l for l in line_order if l in var_lns]
+        point_order = [p for p in point_order if p in var_pts]
         candidates = []
-        for l in sorted(var_lns, key=_slot_key):
+        for l in line_order:
             w = line_witnesses(l)
             if w:
                 candidates.append(("line", l, w))
-        for p in sorted(var_pts, key=_slot_key):
+        for p in point_order:
             w = point_witnesses(p)
             if w:
                 candidates.append(("point", p, w))
@@ -245,8 +250,8 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
     reduced = IncidenceProblem(
         fixed_points=fixed_pts,
         fixed_lines=fixed_lns,
-        variable_points=tuple(sorted(var_pts, key=_slot_key)),
-        variable_lines=tuple(sorted(var_lns, key=_slot_key)),
+        variable_points=tuple(point_order),
+        variable_lines=tuple(line_order),
         relations=residual_relations,
         realization={
             k: v

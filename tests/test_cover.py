@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -324,6 +325,46 @@ def test_empirical_acceptance_seeded_reproducible(table):
     a = empirical_acceptance(table, 7, 4, seed=13, attempts=2000)
     b = empirical_acceptance(table, 7, 4, seed=13, attempts=2000)
     assert a == b
+
+
+# counts of the earlier loop, which drew 50,000 int64 attempts per batch;
+# the cases straddle that batch and the current block size
+@pytest.mark.parametrize(
+    "p, r, seed, attempts, expected",
+    [
+        (7, 4, 20240601, 100_000, 27),
+        (7, 4, 2, 49_999, 13),
+        (7, 4, 4, 123_457, 34),
+        (7, 5, 5, 30_000, 10031),
+        (11, 4, 6, 20_000, 2398),
+        (5, 5, 7, 20_000, 364),
+    ],
+)
+def test_empirical_acceptance_golden_counts(table, p, r, seed, attempts, expected):
+    assert empirical_acceptance(table, p, r, seed, attempts) == (expected, attempts)
+
+
+def test_empirical_acceptance_memory_does_not_grow_with_attempts(table):
+    table.incidence  # cached before tracing
+    tracemalloc.start()
+    try:
+        empirical_acceptance(table, 7, 4, seed=20240601, attempts=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_empirical_acceptance_refuses_large_key_table(table):
+    # 4,099^2 = 16,801,801 vectors exceed the 2^24 int32 keys of 64 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"4099\^2 = 16801801 .* 2\^24 = 16777216"):
+            empirical_acceptance(table, 4099, 2, seed=1, attempts=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_complete_labels_rejects_zero_prescribed(table):

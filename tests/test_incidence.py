@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from rigidsurf.arrangement import Arrangement, closure, BASE_POINTS, intersection_points
 from rigidsurf.incidence import (
     InconsistencyError,
     IncidenceProblem,
+    _slot_key,
     certify_double_point,
     eliminate,
     from_arrangement,
     match_triangle,
 )
-from rigidsurf.projective import join, line, point
+from rigidsurf.projective import join, line, meet, point
 
 
 def heart_problem(heart):
@@ -98,6 +101,71 @@ def test_elimination_confluent_over_random_orders(heart):
         assert reduced.variable_points == reference.variable_points
         assert reduced.variable_lines == reference.variable_lines
         assert set(reduced.relations) == set(reference.relations)
+
+
+def _resorting_eliminate(prob, seed=None):
+    """The elimination loop as it was when it re-sorted the slots every round.
+
+    Kept as an oracle for the fixed slot order of ``eliminate``; the
+    realization checks are left out, so it returns only the steps as
+    (wave, kind, slot, witnesses, coords) and the surviving slots.
+    """
+    rng = random.Random(seed) if seed is not None else None
+    fixed_pts, fixed_lns = dict(prob.fixed_points), dict(prob.fixed_lines)
+    var_pts, var_lns = set(prob.variable_points), set(prob.variable_lines)
+    partners = {s: [] for s in var_pts | var_lns}
+    for p, l in prob.relations:
+        if l in var_lns:
+            partners[l].append(p)
+        if p in var_pts:
+            partners[p].append(l)
+
+    def witnesses(slot, fixed):
+        seen = []
+        for o in partners[slot]:
+            if o in fixed and (not seen or fixed[o] != fixed[seen[0]]):
+                seen.append(o)
+                if len(seen) == 2:
+                    return tuple(seen)
+        return None
+
+    def fire(kind, slot, w, wave):
+        if kind == "line":
+            fixed_lns[slot] = join(fixed_pts[w[0]], fixed_pts[w[1]])
+            var_lns.discard(slot)
+            return (wave, kind, slot, w, fixed_lns[slot].coeffs)
+        fixed_pts[slot] = meet(fixed_lns[w[0]], fixed_lns[w[1]])
+        var_pts.discard(slot)
+        return (wave, kind, slot, w, fixed_pts[slot].coords)
+
+    steps, wave = [], 0
+    while True:
+        candidates = []
+        for l in sorted(var_lns, key=_slot_key):
+            w = witnesses(l, fixed_pts)
+            if w:
+                candidates.append(("line", l, w))
+        for p in sorted(var_pts, key=_slot_key):
+            w = witnesses(p, fixed_lns)
+            if w:
+                candidates.append(("point", p, w))
+        if not candidates:
+            break
+        if rng is not None:
+            candidates = [candidates[rng.randrange(len(candidates))]]
+        steps += [fire(kind, slot, w, wave) for kind, slot, w in candidates]
+        wave += 1
+    return steps, tuple(sorted(var_pts, key=_slot_key)), tuple(sorted(var_lns, key=_slot_key))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 7, 19])
+def test_elimination_matches_resorting_loop(heart, seed):
+    prob = heart_problem(heart)
+    reduced, trace = eliminate(prob, seed=seed)
+    steps = [(s.wave, s.kind, s.slot, s.witnesses, s.coords) for s in trace.steps]
+    assert (steps, reduced.variable_points, reduced.variable_lines) == _resorting_eliminate(
+        prob, seed
+    )
 
 
 def test_inconsistent_realization_detected():
