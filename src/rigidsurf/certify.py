@@ -8,7 +8,9 @@ cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
 Condition (a) ranks the Euler-reduced witnesses of all characters in
 zero-padded stacks of similar row counts, one batched regularity scan
-per worker.
+per worker.  That scan is the only place h1 = 0 is decided: h1 in the
+twist degree, which the invariants need, is read off the regularity it
+returns.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import numpy as np
 
 from . import __version__
 from .arrangement import HeartData, IncidenceTable, check_structure, singular_points
-from .cohomology import FatPointScheme, fat_points, h0_h1, h1_is_zero, regularities
-from .cover import LabelMap, all_characters, validate_labels
+from .cohomology import fat_points, h0_h1, regularities
+# unused here; perfbench's self-test reads certify.h1_is_zero, so the name stays
+from .cohomology import h1_is_zero
+from .cover import LabelMap, complete_labels, validate_labels
 from .incidence import certify_double_point
 from .picard import branch_class, canonical_class, intersect
 
@@ -52,10 +56,27 @@ class SweepData:
     k_points_on_line: np.ndarray
 
 
+# build_sweep holds p^r x (r + n + 2m) int64 cells: the characters, the
+# line pairings, the E-pairings and the multiplicities.  The bundled
+# (Z/7)^4 sweep needs 336,140 of them; the cap is 128 MiB of int64.
+MAX_SWEEP_CELLS = 2**24
+
+
 def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
+    """The lattice data of all p^r characters, in lexicographic order.
+
+    Raises ``ValueError`` before allocating anything when the sweep
+    arrays would exceed ``MAX_SWEEP_CELLS`` cells.
+    """
     p, r = labels.p, labels.r
+    cells = p**r * (r + len(table.arrangement.lines) + 2 * table.num_points)
+    if cells > MAX_SWEEP_CELLS:
+        raise ValueError(
+            f"p^r = {p}^{r} = {p**r} characters need {cells} sweep cells, "
+            f"over the cap 2^24 = {MAX_SWEEP_CELLS}"
+        )
     inc = table.incidence
-    chars = np.array(all_characters(p, r), dtype=np.int64)
+    chars = np.arange(p**r)[:, None] // p ** np.arange(r - 1, -1, -1) % p
     line_arr = np.array(labels.line_labels, dtype=np.int64)
     pair_lines = (chars @ line_arr.T) % p
     total = pair_lines.sum(axis=1)
@@ -81,16 +102,12 @@ def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
 # condition (a): regularity below the twist degree
 
 
-def _scheme_of(sweep: SweepData, idx: int) -> tuple[FatPointScheme, int]:
-    return fat_points(sweep.table.points, sweep.h_mult[idx]), int(sweep.d_chi[idx])
-
-
 @dataclass
 class ConditionAResult:
     verdict: bool
     per_chi: list  # (chi index, reg, d) for all nontrivial characters
     degrees: list
-    h1_at_d: list
+    h1_at_d: list  # d >= 0 and h1 = 0 in the twist degree d
     failures: list
 
 
@@ -112,10 +129,14 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     (:func:`regularities`), starting at the line bounds; with several
     workers, each scans a contiguous slice of the characters.  The
     workers are capped by the CPU count and the number of characters;
-    the output does not depend on their number.  h1 in
-    degree d feeds the irregularity computation: when reg < d it
-    vanishes by upward persistence, and only otherwise is it decided on
-    its own.
+    the output does not depend on their number.
+
+    h1 in the twist degree d feeds the irregularity computation, and it
+    is read off reg rather than decided again: the scan proves h1 > 0
+    in every degree below reg - 1 and h1 = 0 at reg - 1, and h1 = 0
+    persists upward (Castelnuovo-Mumford regularity).  So ``h1_at_d``,
+    "d >= 0 and h1 = 0 in degree d", is exactly d >= max(reg - 1, 0);
+    the empty scheme has reg 0.
     """
     points = sweep.table.points
     mults = sweep.h_mult[1:]
@@ -137,14 +158,14 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
 
     fat = np.clip(mults, 0, None)
     degrees = (fat * (fat + 1) // 2).sum(axis=1).tolist()
-    per_chi, h1_at_d, failures = [], [], []
-    for idx, (reg, d) in enumerate(zip(regs.tolist(), sweep.d_chi[1:].tolist()), start=1):
-        per_chi.append((idx, reg, d))
-        if reg < d:
-            h1_at_d.append(True)
-            continue
-        h1_at_d.append(d >= 0 and h1_is_zero(_scheme_of(sweep, idx)[0], d))
-        failures.append({"chi": [int(x) for x in sweep.chars[idx]], "reg": reg, "d": d})
+    twist = sweep.d_chi[1:]
+    per_chi = list(zip(range(1, len(regs) + 1), regs.tolist(), twist.tolist()))
+    h1_at_d = (twist >= np.maximum(regs - 1, 0)).tolist()
+    failures = [
+        {"chi": sweep.chars[idx].tolist(), "reg": reg, "d": d}
+        for idx, reg, d in per_chi
+        if reg >= d
+    ]
     return ConditionAResult(not failures, per_chi, degrees, h1_at_d, failures)
 
 
@@ -333,8 +354,7 @@ def invariants(sweep: SweepData, cond_a: ConditionAResult) -> InvariantsResult:
             pg += comb(d + 2, 2) - deg
         else:
             all_h1_vanish = False
-            scheme, dd = _scheme_of(sweep, idx)
-            pg += h0_h1(scheme, dd)[0]
+            pg += h0_h1(fat_points(table.points, sweep.h_mult[idx]), d)[0]
 
     q = 1 - chi_total + pg
     if q < 0:
@@ -441,8 +461,6 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     """
     table = singular_points(heart.arrangement)
     if labels is None:
-        from .cover import complete_labels
-
         labels = complete_labels(heart.line_labels[:-1], table, heart.p, heart.r)
         if labels.line_labels != heart.line_labels:
             raise ArithmeticError("bundled labels fail the completion recomputation")

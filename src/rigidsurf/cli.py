@@ -229,14 +229,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    heart = arrmod.build_heart()
-    table = arrmod.singular_points(heart.arrangement)
-    labels = covermod.complete_labels(heart.line_labels[:-1], table, heart.p, heart.r)
-    sweep = certmod.build_sweep(labels, table)
-    cond_a = certmod.check_condition_a(sweep, threads=args.threads)
-    inv = certmod.invariants(sweep, cond_a)
-    _emit(inv.to_jsonable(), args)
-    return 0
+    cert = certmod.full_certificate(arrmod.build_heart(), threads=args.threads)
+    _emit(cert.sections["invariants"], args)
+    return 0 if cert.ok else 1
 
 
 def cmd_plot(args) -> int:
@@ -298,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="certificate path (default: stdout)")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("invariants", help="numerical invariants of the cover")
+    p = sub.add_parser("invariants", help="the invariants section of the certificate")
     p.add_argument("--threads", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_invariants)

@@ -306,6 +306,9 @@ def h1_is_zero(scheme: FatPointScheme, t: int) -> bool:
     certifies full rank over Q (a nonzero minor mod q is nonzero over
     Z); when the prime does not certify it, the exact rank settles the
     question.
+
+    This is the scalar reference path, kept for tests and perfbench;
+    the certificate decides h1 only in :func:`regularities`.
     """
     if not scheme.points:
         return True
@@ -344,6 +347,10 @@ def regularity(scheme: FatPointScheme, fast: bool = False) -> int:
     persists upward for these sheaves); h2 is controlled automatically
     in the relevant range.  The empty scheme has regularity 0.  The
     scan is capped by the crude bound 3 + sum of multiplicities.
+
+    This is the scalar reference path (``fast=True`` through
+    :func:`h1_is_zero`, else by exact rank), kept for tests and
+    perfbench; the certificate uses :func:`regularities`.
     """
     if not scheme.points:
         return 0

@@ -99,7 +99,11 @@ def echelon_mod(matrix, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_mod(matrix, q: int) -> int:
-    """Rank of an integer matrix over F_q (a lower bound for the Q-rank)."""
+    """Rank of an integer matrix over F_q (a lower bound for the Q-rank).
+
+    The scalar reference path of :func:`ranks_mod`, kept for tests and
+    perfbench (through ``cohomology.h1_is_zero``).
+    """
     return len(echelon_mod(matrix, q)[1])
 
 

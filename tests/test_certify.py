@@ -1,12 +1,14 @@
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from rigidsurf.arrangement import Arrangement, BASE_POINTS, closure, singular_points
 from rigidsurf.certify import (
-    _scheme_of,
     admissible,
     build_sweep,
     check_ample,
@@ -16,10 +18,14 @@ from rigidsurf.certify import (
     invariants,
     line_bounds,
 )
-from rigidsurf.cohomology import h0_h1, h1_is_zero, ideal_of_chi, regularity
+from rigidsurf.cohomology import fat_points, h0_h1, h1_is_zero, ideal_of_chi, regularity
 from rigidsurf.cover import all_characters, chi_class, random_label_search
 from rigidsurf.picard import hyperplane, intersect, strict_transform
 from rigidsurf.projective import incident, join, point
+
+
+def _scheme_of(sweep, idx):
+    return fat_points(sweep.table.points, sweep.h_mult[idx]), int(sweep.d_chi[idx])
 
 
 def test_condition_a_all_pass(cond_a):
@@ -237,19 +243,71 @@ def test_certificate_json_deterministic(certificate, heart):
     assert first == second
 
 
+def _quadrilateral_sweep(p, seed):
+    """Sweep of a seeded (Z/p)^3 label map on the complete quadrilateral."""
+    table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
+    return build_sweep(random_label_search(table, p, 3, seed).labels, table)
+
+
+# (p, seed) of seeded (Z/p)^3 maps on the complete quadrilateral, and
+# the irregularity q of their covers
+QUADRILATERAL_MAPS = [(3, 2, 0), (5, 4, 0), (5, 1, 4), (7, 3, 3)]
+
+
 def test_condition_a_fails_on_degenerate_labels():
-    # a small synthetic configuration: complete quadrilateral with p = 3;
-    # low twist degrees make reg < d impossible for some characters
-    arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
-    table = singular_points(arr)
-    found = random_label_search(table, 3, 3, seed=2)
-    sweep = build_sweep(found.labels, table)
+    # small synthetic configurations: low twist degrees, some negative,
+    # make reg < d impossible for some characters; h1 at d is derived
+    # from reg on every character and must agree with the direct decision
+    for p, seed, q in QUADRILATERAL_MAPS:
+        sweep = _quadrilateral_sweep(p, seed)
+        cond = check_condition_a(sweep)
+        assert not cond.verdict
+        assert cond.failures == [
+            {"chi": sweep.chars[idx].tolist(), "reg": reg, "d": d}
+            for idx, reg, d in cond.per_chi
+            if reg >= d
+        ]
+        assert any(d < 0 for _, _, d in cond.per_chi)
+        assert len(cond.h1_at_d) == len(cond.per_chi) == p**3 - 1
+        for (idx, _reg, _d), h1d in zip(cond.per_chi, cond.h1_at_d):
+            assert h1d == _direct_h1_at_d(sweep, idx)
+        assert invariants(sweep, cond).q == q
+
+
+def test_condition_a_and_invariants_decide_no_h1_on_their_own(monkeypatch):
+    # the regularity scan is the only h1 decision of the certificate path
+    import rigidsurf.certify as certify
+    import rigidsurf.cohomology as cohomology
+
+    def no_h1_is_zero(*args):
+        raise AssertionError("h1_is_zero called outside the regularity scan")
+
+    sweep = _quadrilateral_sweep(7, 3)
+    monkeypatch.setattr(cohomology, "h1_is_zero", no_h1_is_zero)
+    monkeypatch.setattr(certify, "h1_is_zero", no_h1_is_zero)
     cond = check_condition_a(sweep)
-    assert not cond.verdict
-    assert cond.failures
-    # reg >= d here, so h1 at d is decided directly, not derived
-    for (idx, _reg, _d), h1d in zip(cond.per_chi, cond.h1_at_d):
-        assert h1d == _direct_h1_at_d(sweep, idx)
+    assert not all(cond.h1_at_d)
+    assert invariants(sweep, cond).q == 3
+
+
+def test_build_sweep_refuses_huge_groups(heart):
+    # (Z/101)^5 labels pass validation, but the sweep would hold
+    # 101^5 x 141 int64 cells; the refusal comes before any allocation
+    from rigidsurf.certify import full_certificate as run
+
+    table = singular_points(heart.arrangement)
+    labels = random_label_search(table, 101, 5, seed=0).labels
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=r"101\^5 = 10510100501 .* cap 2\^24"):
+            run(heart, labels=labels)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_full_certificate_fails_on_duplicated_labels(heart):
@@ -306,9 +364,7 @@ def test_condition_a_caps_the_workers(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
-    table = singular_points(arr)
-    sweep = build_sweep(random_label_search(table, 3, 3, seed=2).labels, table)
+    sweep = _quadrilateral_sweep(3, 2)
     serial = check_condition_a(sweep)
     monkeypatch.setattr(certify.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for cpus, workers in ((3, 3), (100_000, len(sweep.chars) - 1)):
@@ -348,10 +404,7 @@ def test_canonical_twist_matches_lattice_count(sweep, labels, table, cond_a):
 
 def test_invariants_on_synthetic_cover():
     # chi and q stay nonnegative and exact on a small valid cover
-    arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
-    table = singular_points(arr)
-    found = random_label_search(table, 5, 3, seed=4)
-    sweep = build_sweep(found.labels, table)
+    sweep = _quadrilateral_sweep(5, 4)
     inv = invariants(sweep, check_condition_a(sweep))
     assert inv.q >= 0
     assert inv.chi == 1 - inv.q + inv.pg

@@ -136,11 +136,18 @@ def test_certify_takes_no_input_files(capsys, tmp_path):
 
 
 def test_invariants_command(capsys):
+    # the invariants command prints the certificate's invariants section
+    code, out = run(capsys, "certify")
+    assert code == 0
+    section = json.loads(out)["invariants"]
+    assert section["K2"] == 1260966
+    assert section["q"] == 0
     code, out = run(capsys, "invariants")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["K2"] == 1260966
-    assert payload["q"] == 0
+    assert json.loads(out) == section
+    code, out = run(capsys, "invariants", "--format", "tsv")
+    assert code == 0
+    assert out == "".join(f"{k}\t{v}\n" for k, v in sorted(section.items()))
 
 
 def test_plot_writes_svg(tmp_path, capsys):
