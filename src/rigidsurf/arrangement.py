@@ -188,18 +188,27 @@ def _read_data_text(name: str) -> str:
 
 
 def parse_label_table(text: str):
-    """Parse a TSV of ``index, dual coordinates, label tuple`` rows."""
+    """Parse a TSV of ``index, dual coordinates, label tuple`` rows.
+
+    Raises ValueError naming the first data row that is not an index,
+    a nonzero line and integer labels.
+    """
     lines_out: list[ProjectiveLine] = []
     labels: list[tuple[int, ...]] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         row = raw.strip()
         if not row or row.startswith("#"):
             continue
         cells = row.split("\t")
         if not cells[0].lstrip("-").isdigit():
             continue  # header row
-        values = [int(c) for c in cells]
-        lines_out.append(line(values[1], values[2], values[3]))
+        try:
+            values = [int(c) for c in cells]
+            if len(values) < 4:
+                raise ValueError(f"{len(values)} cells, expected an index and three line coordinates")
+            lines_out.append(line(values[1:4]))
+        except ValueError as exc:
+            raise ValueError(f"row {number}: {exc}") from None
         labels.append(tuple(values[4:]))
     return lines_out, labels
 
@@ -386,13 +395,26 @@ def arrangement_to_json(arr: Arrangement, pqr=None) -> str:
 
 
 def arrangement_from_json(text: str):
-    """Parse an arrangement file; returns (Arrangement, pqr or None)."""
+    """Parse an arrangement file; returns (Arrangement, pqr or None).
+
+    Raises ValueError naming the first line or point that is not three
+    integers.
+    """
     payload = json.loads(text)
-    arr = Arrangement(tuple(line(*c) for c in payload["lines"]))
+    if not isinstance(payload, dict) or not isinstance(payload.get("lines"), list):
+        raise ValueError('expected an object with a "lines" list')
+    lines = payload["lines"]
+    arr = Arrangement(tuple(line(_triple(c, f"line {k}")) for k, c in enumerate(lines, start=1)))
     pqr = None
     if all(k in payload for k in ("P", "Q", "R")):
-        pqr = tuple(point(*payload[k]) for k in ("P", "Q", "R"))
+        pqr = tuple(point(_triple(payload[k], k)) for k in ("P", "Q", "R"))
     return arr, pqr
+
+
+def _triple(value, name: str):
+    if not (isinstance(value, list) and len(value) == 3 and all(type(x) is int for x in value)):
+        raise ValueError(f"{name} must be three integers, got {json.dumps(value)}")
+    return value
 
 
 __all__ = [

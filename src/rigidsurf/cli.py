@@ -137,7 +137,10 @@ def cmd_triangle(args) -> int:
         }
         _emit(payload, args)
         return 0
-    found = trimod.search_double_point(args.height_bound, args.count, args.seed)
+    try:
+        found = trimod.search_double_point(args.height_bound, args.count, args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     payload = {
         "triples": [[str(P), str(Q), str(R)] for P, Q, R in found],
         "count": len(found),
@@ -201,7 +204,10 @@ def cmd_lambda(args) -> int:
         labels = heart.line_labels
     else:
         raise InputError("lambda validate needs --labels with a label table")
-    lm = covermod.complete_labels(labels[:-1], table, args.p, args.r)
+    try:
+        lm = covermod.complete_labels(labels[:-1], table, args.p, args.r)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     completion_ok = lm.line_labels == tuple(tuple(x) for x in labels)
     report = covermod.validate_labels(lm, table)
     payload = {

@@ -7,15 +7,16 @@ per degree-t monomial; its rank over Q decides everything.  Euler's
 identity, (t - k) g(P) = sum_i P_i d_i g(P) for an order-k partial g of
 a degree-t form, makes the rows of order k = min(h - 1, t) span a
 point's rows, so every rank is taken on those alone: exactly deg rows
-once t >= h - 1, and the exact rank builds only those rows.  The exact
-rank uses fraction-free (Bareiss) elimination on integer matrices;
-full row rank mod the one prime ``RANK_PRIME`` certifies full rank,
-which is what the large verification sweep needs, and Bareiss settles
-every other case.  The prime is small enough for the elimination to
-run on int32 residues.  The sweep's schemes all live on one point set,
-so :func:`regularities` scans them together: per degree, one bank of
-conditions rows and a few stacked eliminations mod the prime, one per
-bucket of similar row counts.
+once t >= h - 1.  Every rank keeps only those rows of a matrix built
+in full; one builder gives both the exact matrix and its residues mod
+a prime.  The exact rank uses fraction-free (Bareiss) elimination on
+integer matrices; full row rank mod the one prime ``RANK_PRIME``
+certifies full rank, which is what the large verification sweep needs,
+and Bareiss settles every other case.  The prime is small enough for
+the elimination to run on int32 residues.  The sweep's schemes all
+live on one point set, so :func:`regularities` scans them together:
+per degree, one bank of conditions rows and a few stacked eliminations
+mod the prime, one per bucket of similar row counts.
 """
 
 from __future__ import annotations
@@ -143,100 +144,41 @@ def _spanning_rows(scheme: FatPointScheme, t: int) -> np.ndarray:
     return _euler_rows(h, t, np.cumsum(size) - size)
 
 
-def _condition_rows(pnt: ProjectivePoint, orders, mons, powers):
-    """Rows for the vanishing of the derivatives ``orders`` at one point.
-
-    ``powers[x]`` maps an integer coordinate value to its power table;
-    entries are falling-factorial times monomial derivative evaluations.
-    """
-    x, y, z = pnt.coords
-    rows = []
-    for a, b, c in orders:
-        row = []
-        for e0, e1, e2 in mons:
-            if e0 < a or e1 < b or e2 < c:
-                row.append(0)
-                continue
-            coeff = 1
-            for k in range(a):
-                coeff *= e0 - k
-            for k in range(b):
-                coeff *= e1 - k
-            for k in range(c):
-                coeff *= e2 - k
-            row.append(coeff * powers[x][e0 - a] * powers[y][e1 - b] * powers[z][e2 - c])
-        rows.append(row)
-    return rows
-
-
-def _power_tables(scheme: FatPointScheme, t: int):
-    values = {c for pnt, _ in scheme.points for c in pnt.coords}
-    tables = {}
-    for v in values:
-        tab = [1] * (t + 1)
-        for k in range(1, t + 1):
-            tab[k] = tab[k - 1] * v
-        tables[v] = tab
-    return tables
-
-
-def conditions_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
-    """Exact integer conditions matrix for degree-t forms."""
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    mons = monomials(t)
-    powers = _power_tables(scheme, t)
-    rows: list[list[int]] = []
-    for pnt, h in scheme.points:
-        rows.extend(_condition_rows(pnt, _orders(h), mons, powers))
-    return rows
-
-
-def _euler_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
-    """The rows of ``conditions_matrix(scheme, t)`` that :func:`_spanning_rows` keeps.
-
-    Only the rows of order k = min(h - 1, t) of each point are built:
-    the last C(k+2, 2) of the orders below k + 1.
-    """
-    mons = monomials(t)
-    powers = _power_tables(scheme, t)
-    rows: list[list[int]] = []
-    for pnt, h in scheme.points:
-        k = min(h - 1, t)
-        rows.extend(_condition_rows(pnt, _orders(k + 1)[comb(k + 2, 3):], mons, powers))
-    return rows
-
-
-def conditions_matrix_mod(scheme: FatPointScheme, t: int, q: int) -> np.ndarray:
-    """Conditions matrix reduced mod q (a reduction of the exact one).
+def _conditions(scheme: FatPointScheme, t: int, q: int | None = None) -> np.ndarray:
+    """Conditions matrix for degree-t forms: exact, or reduced mod q.
 
     Row (a, b, c) of a point (x : y : z) at the monomial with exponents
     (e0, e1, e2) is D_x[a, e0] * D_y[b, e1] * D_z[c, e2] with the
-    per-coordinate tables D_v[a, e] = (e)_a * v^(e - a) mod q; the
-    falling factorial (e)_a vanishes for e < a, which zeroes the
-    monomials a derivative kills.
+    per-coordinate tables D_v[a, e] = (e)_a * v^(e - a); the falling
+    factorial (e)_a vanishes for e < a, which zeroes the monomials a
+    derivative kills.  Rows come point after point, in ``_orders``
+    order.  With no modulus the entries are Python integers (an object
+    array); with one they are int64 residues, reduced after each product.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
+    if q is None:
+        dtype, reduce = object, (lambda a: a)
+    else:
+        assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
+        dtype, reduce = np.int64, (lambda a: a % q)
     exps = np.array(monomials(t), dtype=np.int64).reshape(-1, 3)
     if not scheme.points:
-        return np.zeros((0, len(exps)), dtype=np.int64)
+        return np.zeros((0, len(exps)), dtype=dtype)
     hmax = max(h for _, h in scheme.points)
-    coords = [c % q for pnt, _ in scheme.points for c in pnt.coords]
-    values, which = np.unique(np.array(coords, dtype=np.int64), return_inverse=True)
+    coords = [reduce(c) for pnt, _ in scheme.points for c in pnt.coords]
+    values, which = np.unique(np.array(coords, dtype=dtype), return_inverse=True)
     which = which.reshape(-1, 3)
 
     e = np.arange(t + 1, dtype=np.int64)
-    powers = np.ones((len(values), t + 1), dtype=np.int64)
+    powers = np.ones((len(values), t + 1), dtype=dtype)
     for k in range(1, t + 1):
-        powers[:, k] = powers[:, k - 1] * values % q
-    falling = np.ones((hmax, t + 1), dtype=np.int64)
+        powers[:, k] = reduce(powers[:, k - 1] * values)
+    falling = np.ones((hmax, t + 1), dtype=dtype)
     for a in range(1, hmax):
-        falling[a] = falling[a - 1] * np.maximum(e - a + 1, 0) % q
+        falling[a] = reduce(falling[a - 1] * np.maximum(e - a + 1, 0))
     shift = np.maximum(e[None, :] - np.arange(hmax)[:, None], 0)
-    tables = falling[None, :, :] * powers[:, shift] % q  # value x a x e
-    assert tables.min() >= 0 and tables.max() < q, "table entries must be reduced"
+    tables = reduce(falling[None, :, :] * powers[:, shift])  # value x a x e
 
     # one row per point and derivative order (a, b, c) with a + b + c < h
     rows = np.array(
@@ -246,8 +188,18 @@ def conditions_matrix_mod(scheme: FatPointScheme, t: int, q: int) -> np.ndarray:
     pt = rows[:, 0]
     out = tables[which[pt, 0][:, None], rows[:, 1][:, None], exps[:, 0]]
     for k in (1, 2):
-        out = out * tables[which[pt, k][:, None], rows[:, k + 1][:, None], exps[:, k]] % q
+        out = reduce(out * tables[which[pt, k][:, None], rows[:, k + 1][:, None], exps[:, k]])
     return out
+
+
+def conditions_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
+    """Exact integer conditions matrix for degree-t forms."""
+    return _conditions(scheme, t).tolist()
+
+
+def conditions_matrix_mod(scheme: FatPointScheme, t: int, q: int) -> np.ndarray:
+    """Conditions matrix reduced mod q (a reduction of the exact one), as int64."""
+    return _conditions(scheme, t, q)
 
 
 def bareiss_rank(matrix) -> int:
@@ -285,15 +237,15 @@ def bareiss_rank(matrix) -> int:
 def hilbert_rank(scheme: FatPointScheme, t: int) -> int:
     """Exact rank of the degree-t conditions matrix (t >= 0).
 
-    Bareiss runs on the Euler-reduced rows (:func:`_euler_matrix`, the
-    only rows it builds), which have the rank of the whole matrix for
+    Bareiss runs on the Euler-reduced rows (:func:`_spanning_rows` of
+    the exact matrix), which have the rank of the whole matrix for
     every t >= 0: deg rows once t >= h - 1 at every point.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     if not scheme.points:
         return 0
-    return bareiss_rank(_euler_matrix(scheme, t))
+    return bareiss_rank(_conditions(scheme, t)[_spanning_rows(scheme, t)])
 
 
 def h1_is_zero(scheme: FatPointScheme, t: int) -> bool:

@@ -196,25 +196,19 @@ def _eigen_fixed_vectors(m: Matrix2):
     tr = a + d
     disc = (a - d) ** 2 + 4 * b * c
     if disc == 0:
-        # kernel of 2m - tr*I
-        k = ((2 * a - tr, 2 * b), (2 * c, 2 * d - tr))
-        if k[0][0] or k[0][1]:
-            v = (-k[0][1], k[0][0])
-        else:
-            v = (-k[1][1], k[1][0])
-        return 0, [_normalize_pair(v)], True
+        return 0, [_kernel_vector(m, tr)], True
     root = isqrt(abs(disc))
     if disc < 0 or root * root != disc:
         return disc, [], False  # conjugate pair, not rational
-    vecs = []
-    for eig2 in (tr + root, tr - root):  # 2 * eigenvalue
-        k = ((2 * a - eig2, 2 * b), (2 * c, 2 * d - eig2))
-        if k[0][0] or k[0][1]:
-            v = (-k[0][1], k[0][0])
-        else:
-            v = (-k[1][1], k[1][0])
-        vecs.append(_normalize_pair(v))
-    return disc, vecs, True
+    return disc, [_kernel_vector(m, eig2) for eig2 in (tr + root, tr - root)], True
+
+
+def _kernel_vector(m: Matrix2, x: int):
+    """Primitive kernel vector of the singular 2m - x*I, x twice an eigenvalue."""
+    (a, b), (c, d) = m
+    if 2 * a - x or b:
+        return _normalize_pair((-2 * b, 2 * a - x))
+    return _normalize_pair((x - 2 * d, 2 * c))
 
 
 def _normalize_pair(v):

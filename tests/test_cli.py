@@ -91,6 +91,39 @@ def test_incidence_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+def _three_entry_labels():
+    from rigidsurf.arrangement import format_label_table, load_heart_table
+
+    lines, labels = load_heart_table()
+    return format_label_table(lines, [lab[:3] for lab in labels])
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["incidence", "eliminate", "--in", "short.json"], {"short.json": '{"lines": [[1, 2]]}'}),
+        (["plot", "--in", "five.json", "--out", "x.svg"], {"five.json": '{"lines": 5}'}),
+        (["plot", "--in", "cells.tsv", "--out", "x.svg"], {"cells.tsv": "i\ta\tb\tc\n1\t2\t3\n"}),
+        (["lambda", "validate", "--r", "5"], {}),
+        (["lambda", "validate", "--labels", "labels.tsv"], {"labels.tsv": _three_entry_labels}),
+        (["triangle", "search", "--height-bound", "0"], {}),
+    ],
+    ids=["short-line", "lines-not-a-list", "three-cell-row", "wrong-r", "three-entry-labels", "height-bound-0"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, files):
+    # malformed input exits 2 with one error line; 1 is kept for a
+    # verification that ran and failed
+    paths = {name: str(tmp_path / name) for name in ("x.svg", *files)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text() if callable(text) else text)
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_lambda_validate_bundled(capsys):
     code, out = run(capsys, "lambda", "validate")
     assert code == 0
