@@ -6,11 +6,11 @@ The character sweep is exact throughout: lattice arithmetic is plain
 integer arithmetic (vectorized in int64, far from overflow), and every
 cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
-Condition (a) ranks the Euler-reduced witnesses of all characters in
-zero-padded stacks of similar row counts, one batched regularity scan
-per worker.  That scan is the only place h1 = 0 is decided: h1 in the
-twist degree, which the invariants need, is read off the regularity it
-returns.
+Condition (a) runs one batched regularity scan per worker: residuation
+along lines proves most first vanishing degrees, and the Euler-reduced
+witnesses of the rest are ranked in zero-padded stacks.  That scan is
+the only place h1 = 0 is decided: h1 in the twist degree, which the
+invariants need, is read off the regularity it returns.
 """
 
 from __future__ import annotations

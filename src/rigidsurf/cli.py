@@ -38,6 +38,13 @@ def _parse_triple(text: str):
     raise InputError(f"cannot parse triple {text!r} (use a:b:c or a,b,c)")
 
 
+def _parse_point(text: str):
+    try:
+        return point(*_parse_triple(text))
+    except ValueError as exc:
+        raise InputError(f"{text!r} is not a point: {exc}") from exc
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -106,7 +113,7 @@ def cmd_heart(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    pqr = [point(*_parse_triple(t)) for t in (args.P, args.Q, args.R)] if args.action != "search" else None
+    pqr = [_parse_point(t) for t in (args.P, args.Q, args.R)] if args.action != "search" else None
     if args.action == "classify":
         cls = trimod.classify(*pqr)
         payload = {
@@ -152,7 +159,11 @@ def cmd_triangle(args) -> int:
 
 def cmd_incidence(args) -> int:
     arr, pqr, _ = _load_arrangement(args.infile)
-    cert = incmod.certify_double_point(arr, pqr)
+    try:
+        cert = incmod.certify_double_point(arr, pqr)
+    except ValueError as exc:
+        # a malformed arrangement, such as one whose base points are not singular
+        raise InputError(str(exc)) from exc
     if args.trace:
         trace_payload = cert.trace.to_jsonable()
         trace_payload["residual"] = {

@@ -14,9 +14,12 @@ integer matrices; full row rank mod the one prime ``RANK_PRIME``
 certifies full rank, which is what the large verification sweep needs,
 and Bareiss settles every other case.  The prime is small enough for
 the elimination to run on int32 residues.  The sweep's schemes all
-live on one point set, so :func:`regularities` scans them together:
-per degree, one bank of conditions rows and a few stacked eliminations
-mod the prime, one per bucket of similar row counts.
+live on one point set, so :func:`regularities` scans them together.  At
+each scheme's first degree a chain of residuations along lines (Horace's
+method) proves h1 = 0 for most of them with no matrix at all; the rest
+are ranked per degree from one bank of conditions rows, in zero-padded
+stacks mod the prime.  Residuation only ever proves h1 = 0; every other
+decision is the rank's.
 """
 
 from __future__ import annotations
@@ -39,19 +42,12 @@ from .projective import ProjectivePoint
 RANK_PRIME = 46_337
 assert kernel_dtype(RANK_PRIME) == np.int32
 
-# regularities buckets the schemes of one degree by their row count
-# rounded up to the next cap of a x1.25 sequence, and ranks each bucket
-# in stacks of at most _STACK_CELLS cells.  On the bundled sweep (2
-# cores, numpy 2.4) x1.25 made 57 stacks in 0.53 s, x1.5 50 in 0.52 s,
-# x2 56 in 0.54 s and x1.1 75 in 0.55 s.  Unsplit, the x1.25 buckets
-# reach 271,890 cells (55,728 for one stack per exact shape) and raise
-# the certificate's peak RSS from 45.9 to 51.3 MB; split at 65,536
-# cells it stays at 45.3 MB.  Re-measured with int32 residues (4 rounds
-# of 7 in-process certificates): medians 0.39-0.43 s for x1.25 and
-# 65,536 cells, 0.37-0.41 s for 131,072 cells, 0.38-0.40 s for x1.5,
-# 0.37-0.43 s for x1.1 and 0.30-0.46 s for x2, peak RSS 44-45 MB
-# throughout; no setting is clearly faster, so the constants stay.
-_ROW_RATIO = 1.25
+# regularities ranks the schemes of one degree in zero-padded stacks of
+# at most _STACK_CELLS cells.  On the bundled sweep, after residuation,
+# the largest unsplit stack has 99,792 cells and the split changes
+# neither the time nor the certificate's peak RSS (43.9 MB, 2 cores,
+# numpy 2.4); the cap bounds the memory of sweeps residuation leaves
+# larger.
 _STACK_CELLS = 65_536
 
 
@@ -325,33 +321,109 @@ def _first_possible_degree(deg: int) -> int:
     return t
 
 
+def _line_bank(points) -> np.ndarray:
+    """Incidences (lines x points) of the lines through at least four of ``points``.
+
+    Each is found as the join of a pair of the points.  Incidence is
+    exact: the join of two integer points is their cross product, and a
+    point lies on it when their dot product vanishes.  In int64 the dot
+    products stay within 6 c^3 < 2^63 for coordinates up to c = 2^20;
+    larger coordinates are multiplied as Python integers.
+    """
+    xyz = np.array([pnt.coords for pnt in points], dtype=object).reshape(-1, 3)
+    if not xyz.size or np.abs(xyz).max() <= 2**20:
+        xyz = xyz.astype(np.int64)
+    a, b = np.triu_indices(len(xyz), 1)
+    joins = np.cross(xyz[a], xyz[b])
+    # a repeated point joins to zero, which is no line
+    on = ((joins @ xyz.T) == 0) & (joins != 0).any(axis=1)[:, None]
+    return np.unique(on[on.sum(axis=1) >= 4], axis=0)
+
+
+def _fits(s, t):
+    """Whether a line meeting the scheme in degree s may be residuated in degree t."""
+    return (s > 0) & (s <= t + 1)
+
+
+def _residuated(rich, mults, t) -> np.ndarray:
+    """Which schemes a chain of line residuations proves to have h1 = 0 in degree t.
+
+    For a line L whose points have multiplicities summing to s_L, the
+    residual sequence
+    0 -> I_{Res_L Z}(t - 1) -> I_Z(t) -> O_L(t - s_L) -> 0, with
+    h1(O_P1(t - s_L)) = 0 when s_L <= t + 1, makes h1(I_Z(t)) = 0 follow
+    from h1(I_{Res_L Z}(t - 1)) = 0, where Res_L Z lowers the multiplicity
+    of each point of Z on L by one.  The empty scheme has h1 = 0 in every
+    degree, so a chain of such steps that empties Z proves h1(I_Z(t)) = 0
+    (Horace's method: Hirschowitz, Manuscripta Math. 50, 1985).
+
+    The lines are the ``rich`` ones (:func:`_line_bank`) and, for each
+    point, a line through it alone, whose s_L is the point's
+    multiplicity (a point lies on infinitely many lines over Q, and only
+    finitely many meet another point).  Each step takes the heaviest line
+    that fits; a scheme with no such line is left unproved, which claims
+    nothing about it.  Line sums come from a gather and ``add.reduceat``,
+    in int16 whenever the sums and degrees fit.
+    """
+    small = max(int(t.max(initial=0)) + 1, int(mults.sum(axis=1).max(initial=0))) < 2**15
+    dtype = np.int16 if small else np.int64
+    h, t = mults.astype(dtype), t.astype(dtype)
+    lines = np.concatenate([rich, np.eye(h.shape[1], dtype=bool)])
+    line_of, point_of = np.nonzero(rich)
+    first = np.searchsorted(line_of, np.arange(len(rich)))
+    live = np.flatnonzero(h.any(axis=1))
+    while live.size:
+        hl = h[live]
+        s = np.concatenate([np.add.reduceat(hl[:, point_of], first, axis=1, dtype=dtype), hl], axis=1)
+        fits = _fits(s, t[live, None])
+        best = (s * fits).argmax(axis=1)
+        step = fits[np.arange(live.size), best]
+        live, hl = live[step], hl[step]
+        hl -= lines[best[step]] & (hl > 0)
+        h[live] = hl
+        t[live] -= 1
+        live = live[hl.any(axis=1)]
+    return ~h.any(axis=1)
+
+
+def _check_scan_cap(t, bound, which) -> None:
+    """Refuse a scan of the schemes ``which`` past their cap ``bound``."""
+    over = which[t[which] > bound[which]]
+    if over.size:
+        raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
+
+
 def regularities(points, mults, starts) -> np.ndarray:
     """Regularity of many fat-point schemes on one point set, in one scan.
 
     Row k of ``mults`` gives the multiplicity of each of ``points`` in
     scheme k (values <= 0 leave the point out), and ``starts[k]`` is a
     proven lower bound for its first vanishing degree.  Each scheme is
-    scanned upward as by ``regularity(scheme, fast=True)`` from that
-    bound, with the same decisions:
+    scanned upward as by ``regularity(scheme, fast=True)`` from
+    t0 = max(start, the counting bound), and gets the same regularities:
 
-    - at degree t, every scheme's Euler-reduced conditions matrix mod
-      ``RANK_PRIME`` (:func:`_euler_rows` of what
+    - at t0, a chain of line residuations (:func:`_residuated`) proves
+      h1 = 0 for most schemes without a matrix; since h1 > 0 at t0 - 1,
+      their regularity is t0 + 1.  Residuation only ever proves h1 = 0;
+      every scheme it leaves goes through the stacks below, from t0;
+    - at degree t, every remaining scheme's Euler-reduced conditions
+      matrix mod ``RANK_PRIME`` (:func:`_euler_rows` of what
       :func:`conditions_matrix_mod` builds) is a row selection from one
       bank: the conditions matrix of all points at the largest
       multiplicity, cast once to the elimination's dtype, so the
-      gathered stacks are eliminated without another reduction.  The
-      scan starts where C(t+2, 2) >= deg, so t >= h - 1 at every point
-      and each matrix has exactly deg rows;
-    - the schemes are bucketed by deg rounded up to the next cap of a
-      x1.25 sequence and ranked as stacks of at most ``_STACK_CELLS``
-      cells, each padded with zero rows (which leave a rank alone) to
-      its largest deg; full rank (the degree) certifies h1 = 0 at t;
+      gathered stacks are eliminated without another reduction.  From
+      t0 on, C(t+2, 2) >= deg, so t >= h - 1 at every point and each
+      matrix has exactly deg rows;
+    - the schemes at degree t are ranked in stacks of at most
+      ``_STACK_CELLS`` cells, each padded with zero rows (which leave a
+      rank alone) to its largest deg; full rank (the degree) certifies
+      h1 = 0 at t;
     - any other scheme has its exact rank taken (:func:`hilbert_rank`,
       by Bareiss) and moves on to t + 1 only when h1 does not vanish
       there.
 
-    These are the decisions of :func:`h1_is_zero`, and each (scheme,
-    degree) is ranked mod the prime only once.
+    The scan cap 3 + sum of multiplicities is checked before any proof.
+    Each (scheme, degree) is ranked mod the prime at most once.
     """
     points = tuple(points)
     mults = np.clip(np.asarray(mults, dtype=np.int64).reshape(-1, len(points)), 0, None)
@@ -365,45 +437,44 @@ def regularities(points, mults, starts) -> np.ndarray:
     # the smallest t with C(t+2, 2) >= deg, below which h1 > 0 for free
     triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
     t = np.maximum(starts, np.searchsorted(triangular, deg))
+    live = np.nonzero(deg)[0]
+    _check_scan_cap(t, bound, live)
 
-    # every scheme's bank rows, scheme after scheme, point after point:
-    # from the scan's start on, the C(h+1, 2) rows of order h - 1 of each
-    # point's block, deg rows in all
-    hmax = int(mults.max())
-    owner, i = np.nonzero(mults)
+    proved = _residuated(_line_bank(points), mults[live], t[live])
+    regs[live[proved]] = t[live[proved]] + 1
+    live = live[~proved]
+    if not live.size:
+        return regs
+
+    # every remaining scheme's bank rows, scheme after scheme, point after
+    # point: the C(h+1, 2) rows of order h - 1 of each point's block, deg
+    # rows in all
+    rest = np.where(regs > 0, 0, deg)
+    hmax = int(mults[live].max())
+    owner, i = np.nonzero(mults * (rest > 0)[:, None])
     bank_rows = _euler_rows(mults[owner, i], t[owner], i * comb(hmax + 2, 3))
-    assert bank_rows.size == deg.sum(), "the scan starts at t >= h - 1"
-    first_row = np.cumsum(deg) - deg
-    caps = [1]
-    while caps[-1] < deg.max():
-        caps.append(max(caps[-1] + 1, ceil(caps[-1] * _ROW_RATIO)))
-    caps = np.array(caps)
+    assert bank_rows.size == rest.sum(), "the scan starts at t >= h - 1"
+    first_row = np.cumsum(rest) - rest
     full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
     q = RANK_PRIME
 
-    live = np.nonzero(deg)[0]
     while live.size:
         level = int(t[live].min())
         now = live[t[live] == level]
-        over = now[level > bound[now]]
-        if over.size:
-            raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
+        _check_scan_cap(t, bound, now)
         bank = conditions_matrix_mod(full, level, q).astype(kernel_dtype(q))
-        cap = caps[np.searchsorted(caps, deg[now])]
-        for bucket in np.unique(cap).tolist():
-            group = now[cap == bucket]
-            per_stack = max(1, _STACK_CELLS // (bucket * bank.shape[1]))
-            for chunk in np.array_split(group, ceil(group.size / per_stack)):
-                span = np.arange(deg[chunk].max())
-                real = span < deg[chunk][:, None]
-                stack = bank[bank_rows[np.where(real, first_row[chunk][:, None] + span, 0)]]
-                stack[~real] = 0
-                ranks = ranks_mod(stack, q)
-                for k, certified in zip(chunk.tolist(), (ranks == deg[chunk]).tolist()):
-                    if certified or hilbert_rank(fat_points(points, mults[k]), level) == deg[k]:
-                        regs[k] = level + 1
-                    else:
-                        t[k] += 1
+        per_stack = max(1, _STACK_CELLS // (int(deg[now].max()) * bank.shape[1]))
+        for chunk in np.array_split(now, ceil(now.size / per_stack)):
+            span = np.arange(deg[chunk].max())
+            real = span < deg[chunk][:, None]
+            stack = bank[bank_rows[np.where(real, first_row[chunk][:, None] + span, 0)]]
+            stack[~real] = 0
+            ranks = ranks_mod(stack, q)
+            for k, certified in zip(chunk.tolist(), (ranks == deg[chunk]).tolist()):
+                if certified or hilbert_rank(fat_points(points, mults[k]), level) == deg[k]:
+                    regs[k] = level + 1
+                else:
+                    t[k] += 1
         live = live[regs[live] == 0]
     return regs
 

@@ -259,6 +259,20 @@ def _require_classes(count: int, p: int, r: int) -> None:
         )
 
 
+def _require_span(n: int, m: int, p: int, r: int) -> None:
+    """Refuse a search whose n + m labels cannot span (Z/p)^r.
+
+    Every label is a sum of the n - 1 drawn line labels (the last line's
+    is minus their sum, each point's the sum of the lines through it), so
+    the labels span at most n - 1 dimensions.
+    """
+    if n - 1 < r:
+        raise ValueError(
+            f"the {n + m} labels of {n} lines and {m} points are sums of "
+            f"{n - 1} drawn ones, which cannot span (Z/{p})^{r}"
+        )
+
+
 # The key table holds one int32 per vector of (Z/p)^r: at most 64 MB.
 MAX_KEY_TABLE = 2**24
 
@@ -294,10 +308,12 @@ def random_label_search(table: IncidenceTable, p: int, r: int, seed: int) -> Sea
     survive it.  Deterministic for a given seed; the attempt count is
     reported so acceptance rates can be compared with the birthday
     estimate.  Raises ValueError when the n line and m point labels
-    outnumber the classes of P^{r-1}(F_p), so no map can be injective.
+    outnumber the classes of P^{r-1}(F_p), so no map can be injective,
+    or when they cannot span (Z/p)^r.
     """
     n = len(table.arrangement.lines)
     _require_classes(n + table.num_points, p, r)
+    _require_span(n, table.num_points, p, r)
     rng = np.random.default_rng(seed)
     for attempt in range(1, MAX_SEARCH_ATTEMPTS + 1):
         partial = _draw_distinct_projective(rng, n - 1, p, r)

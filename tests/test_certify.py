@@ -15,6 +15,7 @@ from rigidsurf.certify import (
     check_condition_a,
     check_condition_b,
     check_condition_c,
+    full_certificate,
     invariants,
     line_bounds,
 )
@@ -288,6 +289,42 @@ def test_condition_a_and_invariants_decide_no_h1_on_their_own(monkeypatch):
     cond = check_condition_a(sweep)
     assert not all(cond.h1_at_d)
     assert invariants(sweep, cond).q == 3
+
+
+def test_certificate_routes_most_first_degrees_through_residuation(heart, certificate, monkeypatch):
+    # residuation along lines proves h1 = 0 at 2,027 of the 2,400 first
+    # degrees, so the stacks mod the prime need 12 eliminations (plus the
+    # spanning check's one) in place of 57; the 23 exact fallbacks, all
+    # true deficiencies, are left alone
+    import rigidsurf.cohomology as cohomology
+    import rigidsurf.modp as modp
+
+    calls = {"_eliminate": 0, "bareiss_rank": 0}
+    proved = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(modp, "_eliminate")
+    counted(cohomology, "bareiss_rank")
+    original = cohomology._residuated
+
+    def residuated(*args):
+        proved.append(original(*args))
+        return proved[-1]
+
+    monkeypatch.setattr(cohomology, "_residuated", residuated)
+    cert = full_certificate(heart)
+    assert cert.to_json(include_timings=False) == certificate.to_json(include_timings=False)
+    assert calls["_eliminate"] == 13  # 58 before residuation
+    assert calls["bareiss_rank"] == 23
+    assert [int(p.sum()) for p in proved] == [2027]
 
 
 def test_build_sweep_refuses_huge_groups(heart):

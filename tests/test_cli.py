@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,11 @@ def test_incidence_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+# two lines: no point of the arrangement is singular, and the labels of a
+# cover are sums of one drawn label
+TWO_LINES = '{"lines": [[1, 0, 0], [0, 1, 0]]}'
+
+
 def _three_entry_labels():
     from rigidsurf.arrangement import format_label_table, load_heart_table
 
@@ -107,8 +116,13 @@ def _three_entry_labels():
         (["lambda", "validate", "--r", "5"], {}),
         (["lambda", "validate", "--labels", "labels.tsv"], {"labels.tsv": _three_entry_labels}),
         (["triangle", "search", "--height-bound", "0"], {}),
+        (["triangle", "classify", "0:0:0", "1:2:1", "2:1:1"], {}),
+        (["incidence", "eliminate", "--in", "two.json"], {"two.json": TWO_LINES}),
     ],
-    ids=["short-line", "lines-not-a-list", "three-cell-row", "wrong-r", "three-entry-labels", "height-bound-0"],
+    ids=[
+        "short-line", "lines-not-a-list", "three-cell-row", "wrong-r", "three-entry-labels",
+        "height-bound-0", "zero-point", "base-points-not-singular",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, files):
     # malformed input exits 2 with one error line; 1 is kept for a
@@ -158,6 +172,24 @@ def test_lambda_search_refuses_too_few_classes(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert "10 labels" in captured.err and "only 4 classes" in captured.err
+
+
+def test_lambda_search_refuses_labels_that_cannot_span(tmp_path):
+    # every label of a two-line map is plus or minus the one drawn label,
+    # so no map spans (Z/7)^4; the search is refused before any attempt
+    # instead of drawing 1,000,000 maps
+    path = tmp_path / "two.json"
+    path.write_text(TWO_LINES)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "rigidsurf.cli", "lambda", "search", "--in", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "cannot span (Z/7)^4" in done.stderr
 
 
 def test_certify_takes_no_input_files(capsys, tmp_path):

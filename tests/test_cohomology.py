@@ -5,14 +5,16 @@ from math import comb
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from rigidsurf.cohomology import (
     EMPTY,
     RANK_PRIME,
     FatPointScheme,
     _euler_rows,
+    _line_bank,
     _orders,
+    _residuated,
     _spanning_rows,
     bareiss_rank,
     conditions_matrix,
@@ -211,9 +213,9 @@ def test_lower_multiplicity_rows_are_a_prefix():
             assert _euler_rows(np.array([h]), 6, np.array([0])).tolist() == list(block)
 
 
-def test_regularities_split_buckets_by_the_cell_budget(monkeypatch):
-    # a small budget splits each row bucket into several stacks; the
-    # zero-padded stacks must still give the exact scan's regularities
+def test_regularities_split_stacks_by_the_cell_budget(monkeypatch):
+    # a small budget splits each degree's schemes into several stacks;
+    # the zero-padded stacks must still give the exact scan's regularities
     import rigidsurf.cohomology as cohomology
 
     rng = random.Random(14)
@@ -414,6 +416,77 @@ def test_collinear_fat_points_force_h1(a, b, on_line, off_line):
     for t in range(line_sum - 1):
         assert hilbert_rank(fat, t) < fat.degree
     assert _line_bound(fat) >= line_sum - 1
+
+
+@st.composite
+def residuation_cases(draw):
+    """A point set with up to five points on one line and up to three
+    anywhere, a few multiplicity rows on it, and for each row a degree
+    within one below and two above its counting bound."""
+    a, b = draw(triples), draw(triples)
+    assume(point(a) != point(b))
+    pairs = st.tuples(small, small).filter(lambda v: v != (0, 0))
+    coords = [tuple(s_ * x + u * y for x, y in zip(a, b)) for s_, u in draw(st.lists(pairs, max_size=5))]
+    coords += draw(st.lists(triples, max_size=3))
+    points = list(dict.fromkeys(point(v) for v in coords))
+    assume(points)
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)),
+                         min_size=1, max_size=3))
+    degrees = []
+    for row in rows:
+        deg = sum(h * (h + 1) // 2 for h in row)
+        first = next(t for t in range(99) if comb(t + 2, 2) >= deg)
+        degrees.append(max(0, first + draw(st.integers(-1, 2))))
+    return points, rows, degrees
+
+
+def _false_proofs(case):
+    """The rows a chain of line residuations proves h1 = 0 for, wrongly."""
+    points, rows, degrees = case
+    proved = _residuated(_line_bank(points), np.array(rows), np.array(degrees))
+    schemes = [fat_points(points, row) for row in rows]
+    return [(fat, t) for fat, t, ok in zip(schemes, degrees, proved) if ok and hilbert_rank(fat, t) < fat.degree]
+
+
+@settings(max_examples=100, deadline=None)
+@given(residuation_cases())
+@example(([point(1, k, 0) for k in range(4)] + [point(0, 1, 0)], [[1, 1, 1, 1, 0], [2, 2, 2, 2, 1]], [3, 6]))
+@example(([point(1, k, 1) for k in range(5)] + [point(2, 3, 5)], [[2, 1, 1, 2, 1, 3]], [5]))
+def test_residuation_proofs_agree_with_the_exact_rank(case):
+    # every h1 = 0 a residuation chain claims holds for the exact rank
+    assert _false_proofs(case) == []
+
+
+def test_residuation_property_catches_a_loosened_rule(monkeypatch):
+    # with s_L <= t + 2 in place of t + 1 a chain peels off a line the
+    # residual sequence does not allow, and the property above finds a
+    # false proof
+    import rigidsurf.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "_fits", lambda s, t: (s > 0) & (s <= t + 2))
+    case = find(
+        residuation_cases(),
+        lambda c: bool(_false_proofs(c)),
+        settings=settings(
+            max_examples=500, deadline=None, database=None, derandomize=True, phases=[Phase.generate]
+        ),
+    )
+    assert _false_proofs(case)
+
+
+def test_line_bank_lines_are_exact_joins():
+    # each line of the bank is the full incidence of a join of two
+    # points, computed exactly also past int64 coordinates
+    big = 2**40
+    points = [point(1, k * big, 0) for k in range(4)] + [point(big, 1, 1), point(1, 1, 1)]
+    assert _line_bank(points).tolist() == [[True] * 4 + [False] * 2]
+    # z = 0 and x = y, which meet at (1:1:0)
+    assert _line_bank(FIXED_POINTS).sum(axis=1).tolist() == [4, 4]
+    for pts in (FIXED_POINTS, points):
+        for row in _line_bank(pts):
+            on = [p for p, hit in zip(pts, row) if hit]
+            ell = join(on[0], on[1])
+            assert row.tolist() == [incident(p, ell) for p in pts]
 
 
 def _random_signed_scheme(rng, max_points=4, max_mult=3):

@@ -321,6 +321,22 @@ def test_search_refuses_more_labels_than_projective_classes():
     assert random_label_search(table, 3, 3, seed=2).accepted
 
 
+def test_search_refuses_labels_that_cannot_span():
+    # every label is a sum of the n - 1 drawn ones, so two or three lines
+    # cannot span (Z/7)^4 and the six-line quadrilateral, which spans
+    # (Z/5)^3 above, cannot span (Z/3)^6; each is refused at once
+    from rigidsurf.projective import line
+
+    lines = [line(1, 0, 0), line(0, 1, 0), line(0, 0, 1), line(1, 1, 1)]
+    for n in (2, 3):
+        table = singular_points(Arrangement(tuple(lines[:n])))
+        with pytest.raises(ValueError, match=f"sums of {n - 1} drawn ones, which cannot span"):
+            random_label_search(table, 7, 4, seed=0)
+    arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
+    with pytest.raises(ValueError, match="sums of 5 drawn ones"):
+        random_label_search(singular_points(arr), 3, 6, seed=0)
+
+
 def test_empirical_acceptance_seeded_reproducible(table):
     a = empirical_acceptance(table, 7, 4, seed=13, attempts=2000)
     b = empirical_acceptance(table, 7, 4, seed=13, attempts=2000)
