@@ -13,6 +13,7 @@ pattern, which certifies the double-point structure.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 
 from . import triangle as _triangle
@@ -149,6 +150,11 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
     deterministic slot order (the "waves" schedule).  With an integer
     seed, one enabled rule fires at a time in seeded random order; the
     residual problem must not depend on the schedule (confluence).
+
+    The fixpoint is a worklist: witness pairs are computed once per slot
+    and recomputed only for the partners of the slots a step fixed.  The
+    steps, waves and residue are those of rescanning every variable slot
+    each round, as the enabled rules and their slot order are the same.
     """
     rng = random.Random(seed) if seed is not None else None
 
@@ -216,33 +222,44 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
         fixed_pts[slot] = computed
         return EliminationStep(wave, "point", slot, witnesses, computed.coords)
 
-    # slot order is fixed once; each round walks the slots still variable
-    line_order = sorted(var_lns, key=_slot_key)
-    point_order = sorted(var_pts, key=_slot_key)
+    # The slot order is fixed once: lines before points, each in _slot_key
+    # order.  Each slot's witness pair is cached, and the candidates are
+    # the sorted positions of the slots that have one.  Witnesses read
+    # only the fixed partners of a slot, and a fixed slot never changes,
+    # so after a step only the fired slots' partners can differ from the
+    # cache: re-examining those gives the list a full rescan would.  A
+    # slot never loses its pair, as two fixed partners in distinct places
+    # stay fixed; a newly fixed partner earlier in its list may change it.
+    order = [("line", l) for l in sorted(var_lns, key=_slot_key)]
+    order += [("point", p) for p in sorted(var_pts, key=_slot_key)]
+    line_pos = {slot: k for k, (kind, slot) in enumerate(order) if kind == "line"}
+    point_pos = {slot: k for k, (kind, slot) in enumerate(order) if kind == "point"}
+    cached = [line_witnesses(s) if kind == "line" else point_witnesses(s) for kind, s in order]
+    candidates = [k for k, w in enumerate(cached) if w]
     steps: list[EliminationStep] = []
     wave = 0
-    while True:
-        line_order = [l for l in line_order if l in var_lns]
-        point_order = [p for p in point_order if p in var_pts]
-        candidates = []
-        for l in line_order:
-            w = line_witnesses(l)
-            if w:
-                candidates.append(("line", l, w))
-        for p in point_order:
-            w = point_witnesses(p)
-            if w:
-                candidates.append(("point", p, w))
-        if not candidates:
-            break
+    while candidates:
         if rng is None:
-            for kind, slot, w in candidates:
-                steps.append(fire(kind, slot, w, wave))
-            wave += 1
+            fired, candidates = candidates, []
         else:
-            kind, slot, w = candidates[rng.randrange(len(candidates))]
-            steps.append(fire(kind, slot, w, wave))
-            wave += 1
+            fired = [candidates.pop(rng.randrange(len(candidates)))]
+        # a wave fires with the witnesses of the start of its round
+        touched: set[int] = set()
+        for k in fired:
+            kind, slot = order[k]
+            steps.append(fire(kind, slot, cached[k], wave))
+            cached[k] = None
+            if kind == "line":
+                touched.update(point_pos[p] for p in line_partners[slot] if p in var_pts)
+            else:
+                touched.update(line_pos[l] for l in point_partners[slot] if l in var_lns)
+        for k in touched:
+            kind, slot = order[k]
+            w = line_witnesses(slot) if kind == "line" else point_witnesses(slot)
+            if w and not cached[k]:
+                insort(candidates, k)
+            cached[k] = w
+        wave += 1
 
     residual_relations = tuple(
         (p, l) for p, l in prob.relations if p in var_pts or l in var_lns
@@ -250,8 +267,8 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
     reduced = IncidenceProblem(
         fixed_points=fixed_pts,
         fixed_lines=fixed_lns,
-        variable_points=tuple(point_order),
-        variable_lines=tuple(line_order),
+        variable_points=tuple(s for kind, s in order if kind == "point" and s in var_pts),
+        variable_lines=tuple(s for kind, s in order if kind == "line" and s in var_lns),
         relations=residual_relations,
         realization={
             k: v

@@ -174,22 +174,49 @@ def test_lambda_search_refuses_too_few_classes(capsys, tmp_path):
     assert "10 labels" in captured.err and "only 4 classes" in captured.err
 
 
-def test_lambda_search_refuses_labels_that_cannot_span(tmp_path):
-    # every label of a two-line map is plus or minus the one drawn label,
-    # so no map spans (Z/7)^4; the search is refused before any attempt
-    # instead of drawing 1,000,000 maps
-    path = tmp_path / "two.json"
-    path.write_text(TWO_LINES)
+def _refused_search(tmp_path, arrangement_json, timeout):
+    """stderr of ``lambda search --in`` an arrangement, run in a fresh process.
+
+    The search must be refused: exit status 2, nothing on stdout and one
+    error line, within ``timeout`` seconds.
+    """
+    path = tmp_path / "arrangement.json"
+    path.write_text(arrangement_json)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "rigidsurf.cli", "lambda", "search", "--in", str(path)],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert "cannot span (Z/7)^4" in done.stderr
+    return done.stderr
+
+
+def test_lambda_search_refuses_labels_that_cannot_span(tmp_path):
+    # every label of a two-line map is plus or minus the one drawn label,
+    # so no map spans (Z/7)^4; the search is refused before any attempt
+    # instead of drawing 1,000,000 maps
+    assert "cannot span (Z/7)^4" in _refused_search(tmp_path, TWO_LINES, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # the point's label is the sum of all six line labels, which is 0
+        ("[[1,0,0],[0,1,0],[1,1,0],[1,2,0],[1,3,0],[1,4,0]]",
+         "label of point (0:0:1) is zero mod 7"),
+        # the point's label is minus the label of the line missing it
+        ("[[1,0,0],[0,1,0],[1,1,0],[1,2,0],[0,0,1]]",
+         "labels of line [0:0:1] and point (0:0:1) are proportional mod 7"),
+    ],
+    ids=["pencil", "near-pencil"],
+)
+def test_lambda_search_refuses_labels_forced_into_one_class(tmp_path, lines, message):
+    # no draw can make these maps injective; without the refusal the search
+    # drew 1,000,000 maps
+    assert message in _refused_search(tmp_path, f'{{"lines": {lines}}}', timeout=10)
 
 
 def test_certify_takes_no_input_files(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from rigidsurf.arrangement import BASE_POINTS, Arrangement, closure, singular_points
 from rigidsurf.cover import (
+    ACCEPTANCE_BLOCK,
     LabelMap,
     acceptance_estimate,
     all_characters,
@@ -14,11 +15,13 @@ from rigidsurf.cover import (
     class_keys,
     complete_labels,
     critical_chi_solutions,
+    distinct_nonzero,
     empirical_acceptance,
     pairing_lift,
     projective_label,
     random_label_search,
     validate_labels,
+    _completion_matrix,
 )
 from rigidsurf.picard import DivisorClass, intersect, strict_transform, zero
 from rigidsurf.projective import meet, point
@@ -335,6 +338,83 @@ def test_search_refuses_labels_that_cannot_span():
     arr = Arrangement(closure(BASE_POINTS, 1)[0].lines)
     with pytest.raises(ValueError, match="sums of 5 drawn ones"):
         random_label_search(singular_points(arr), 3, 6, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_completion_matrix_gives_the_completed_labels(table, seed):
+    rng = np.random.default_rng(seed)
+    n = len(table.arrangement.lines)
+    partial = rng.integers(1, 7, size=(n - 1, 4))
+    completed = complete_labels(partial.tolist(), table, 7, 4)
+    assert [tuple(row) for row in (_completion_matrix(table) @ partial % 7).tolist()] == list(
+        completed.all_labels
+    )
+
+
+def test_bundled_completion_is_free(table):
+    # no completed label of the bundled arrangement is forced to vanish or
+    # to share a class with another, for any small prime: two rows are
+    # proportional exactly when all their 2 x 2 minors vanish
+    for p in (2, 3, 5, 7, 11):
+        rows = _completion_matrix(table) % p
+        assert (rows != 0).any(axis=1).all()
+        for i in range(len(rows) - 1):
+            a, b = rows[i], rows[i + 1:]
+            minors = a[None, :, None] * b[:, None, :] - b[:, :, None] * a[None, None, :]
+            assert (minors % p).any(axis=(1, 2)).all()
+    random_label_search(table, 7, 5, seed=1)
+
+
+def _one_shot_acceptance(table, p, r, seed, attempts):
+    """The acceptance loop as it was before staged rejection.
+
+    Kept as an oracle: every attempt's labels are completed in full and
+    all n + m class keys are checked in one sort.
+    """
+    n = len(table.arrangement.lines)
+    powers = p ** np.arange(r - 1, -1, -1, dtype=np.int32)
+    key_of = class_keys(np.arange(p**r)[:, None] // powers % p, p).astype(np.int32)
+    inc_t = table.incidence.T.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    successes = 0
+    done = 0
+    while done < attempts:
+        draws = rng.integers(0, p, size=(ACCEPTANCE_BLOCK, n - 1, r), dtype=np.int32)
+        drawn_keys = key_of[draws @ powers]
+        kept = np.flatnonzero(distinct_nonzero(drawn_keys))[: attempts - done]
+        draws, drawn_keys = draws[kept], drawn_keys[kept]
+        last = -draws.sum(axis=1) % p
+        lines_all = np.concatenate([draws, last[:, None, :]], axis=1)
+        sums = lines_all.transpose(0, 2, 1).astype(np.float64) @ inc_t
+        points = sums.astype(np.int32).transpose(0, 2, 1) % p
+        keys = np.concatenate(
+            [drawn_keys, key_of[last @ powers][:, None], key_of[points @ powers]], axis=1
+        )
+        successes += int(distinct_nonzero(keys).sum())
+        done += kept.size
+    return successes, attempts
+
+
+@pytest.mark.parametrize(
+    "quadrilateral, p, r, seed, attempts",
+    [
+        # six lines and four triple points in (Z/7)^3: about half the
+        # attempts pass, so every stage sees survivors
+        (True, 7, 3, 1, 1),
+        (True, 7, 3, 2, 1_999),
+        (True, 7, 3, 3, 2_001),
+        (True, 7, 3, 4, 4_567),
+        (True, 7, 3, 5, 6_113),
+        # the bundled table in (Z/7)^5: about a third pass
+        (False, 7, 5, 8, 3_001),
+    ],
+)
+def test_staged_acceptance_matches_one_shot_oracle(table, quadrilateral, p, r, seed, attempts):
+    if quadrilateral:
+        table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
+    expected = _one_shot_acceptance(table, p, r, seed, attempts)
+    assert empirical_acceptance(table, p, r, seed, attempts) == expected
+    assert expected[0] > 0
 
 
 def test_empirical_acceptance_seeded_reproducible(table):

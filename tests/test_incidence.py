@@ -13,6 +13,7 @@ from rigidsurf.incidence import (
     match_triangle,
 )
 from rigidsurf.projective import join, line, meet, point
+from rigidsurf.triangle import solve_realization
 
 
 def heart_problem(heart):
@@ -158,14 +159,93 @@ def _resorting_eliminate(prob, seed=None):
     return steps, tuple(sorted(var_pts, key=_slot_key)), tuple(sorted(var_lns, key=_slot_key))
 
 
-@pytest.mark.parametrize("seed", [None, 0, 1, 7, 19])
-def test_elimination_matches_resorting_loop(heart, seed):
-    prob = heart_problem(heart)
+def certify_problem(heart):
+    """The problem ``certify_double_point`` eliminates, found as it finds it."""
+    sol = solve_realization(*heart.pqr)[0]
+    arr = heart.arrangement
+    closing = {arr.index(l) for l in (sol.L_P, sol.L_Q, sol.L_R)}
+    kept = [l for i, l in enumerate(arr.lines) if i not in closing]
+    return from_arrangement(arr, extra_points=tuple(sorted(intersection_points(kept))))
+
+
+PROBLEMS = {
+    "heart-no-extra-points": lambda heart: from_arrangement(heart.arrangement),
+    "closure-3": lambda heart: from_arrangement(Arrangement(closure(BASE_POINTS, 3)[-1].lines)),
+    "certify": certify_problem,
+}
+
+
+def _steps(trace):
+    return [(s.wave, s.kind, s.slot, s.witnesses, s.coords) for s in trace.steps]
+
+
+def _assert_matches_resorting_loop(prob, seed):
     reduced, trace = eliminate(prob, seed=seed)
-    steps = [(s.wave, s.kind, s.slot, s.witnesses, s.coords) for s in trace.steps]
-    assert (steps, reduced.variable_points, reduced.variable_lines) == _resorting_eliminate(
+    assert (_steps(trace), reduced.variable_points, reduced.variable_lines) == _resorting_eliminate(
         prob, seed
     )
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 7, 19])
+def test_elimination_matches_resorting_loop(heart, seed):
+    _assert_matches_resorting_loop(heart_problem(heart), seed)
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in PROBLEMS for seed in (None, 0, 1, 7, 19)]
+    + [("certify", seed) for seed in range(100, 120)],
+)
+def test_elimination_matches_resorting_loop_on_more_problems(heart, name, seed):
+    _assert_matches_resorting_loop(PROBLEMS[name](heart), seed)
+
+
+def test_certify_double_point_trace_matches_resorting_loop(heart):
+    cert = certify_double_point(heart.arrangement, heart.pqr)
+    steps, var_pts, var_lns = _resorting_eliminate(certify_problem(heart))
+    assert _steps(cert.trace) == steps
+    assert (cert.reduced.variable_points, cert.reduced.variable_lines) == (var_pts, var_lns)
+    assert cert.wave_sizes == (6, 3, 3, 6, 16, 84, 6, 121)
+
+
+def _chain_problem(bad_slot=None):
+    """A chain q1, q2 -> L1 -> v1 -> L2, its realization wrong at ``bad_slot``.
+
+    v1 gains its second fixed line only when L1 fires, and L2 its second
+    fixed point only when v1 fires, so a wrong slot is reached only
+    through the slots re-examined after a step.
+    """
+    realization = {"L1": line(0, 0, 1), "v1": point(1, 1, 0), "L2": line(1, -1, 1)}
+    wrong = {"v1": point(2, 1, 0), "L2": line(1, -1, 2)}
+    if bad_slot is not None:
+        realization[bad_slot] = wrong[bad_slot]
+    return IncidenceProblem(
+        fixed_points={"q1": point(1, 0, 0), "q2": point(0, 1, 0), "q3": point(0, 1, 1)},
+        fixed_lines={"M1": line(1, -1, 0)},
+        variable_points=("v1",),
+        variable_lines=("L1", "L2"),
+        relations=(
+            ("q1", "L1"), ("q2", "L1"), ("v1", "L1"), ("v1", "M1"),
+            ("v1", "L2"), ("q3", "L2"),
+        ),
+        realization=realization,
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_chain_eliminates_when_consistent(seed):
+    prob = _chain_problem()
+    prob.validate()
+    reduced, trace = eliminate(prob, seed=seed)
+    assert [(s.wave, s.slot) for s in trace.steps] == [(0, "L1"), (1, "v1"), (2, "L2")]
+    assert not reduced.variable_points and not reduced.variable_lines
+
+
+@pytest.mark.parametrize("bad_slot", ["v1", "L2"])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_inconsistency_found_on_a_slot_enabled_by_a_step(bad_slot, seed):
+    with pytest.raises(InconsistencyError, match=f"^{bad_slot}: "):
+        eliminate(_chain_problem(bad_slot), seed=seed)
 
 
 def test_inconsistent_realization_detected():
