@@ -226,8 +226,9 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
     # order.  Each slot's witness pair is cached, and the candidates are
     # the sorted positions of the slots that have one.  Witnesses read
     # only the fixed partners of a slot, and a fixed slot never changes,
-    # so after a step only the fired slots' partners can differ from the
-    # cache: re-examining those gives the list a full rescan would.  A
+    # so after a step only the fired slots' still-variable partners can
+    # differ from the cache: re-examining those gives the list a full
+    # rescan would.  A
     # slot never loses its pair, as two fixed partners in distinct places
     # stay fixed; a newly fixed partner earlier in its list may change it.
     order = [("line", l) for l in sorted(var_lns, key=_slot_key)]
@@ -253,6 +254,8 @@ def eliminate(prob: IncidenceProblem, seed: int | None = None):
                 touched.update(point_pos[p] for p in line_partners[slot] if p in var_pts)
             else:
                 touched.update(line_pos[l] for l in point_partners[slot] if l in var_lns)
+        # a partner fired later in the same wave is fixed by now
+        touched.difference_update(fired)
         for k in touched:
             kind, slot = order[k]
             w = line_witnesses(slot) if kind == "line" else point_witnesses(slot)

@@ -168,10 +168,47 @@ def certify_problem(heart):
     return from_arrangement(arr, extra_points=tuple(sorted(intersection_points(kept))))
 
 
+def mixed_problem(heart=None):
+    """L1 and v1 both enabled at the start, v1 also on L1.
+
+    Both fire in wave 0, so firing L1 touches v1 while it is still
+    variable, and v1 must not be re-examined once it has fired too.
+    """
+    return IncidenceProblem(
+        fixed_points={"q1": point(1, 0, 0), "q2": point(0, 1, 0)},
+        fixed_lines={"M1": line(1, -1, 0), "M2": line(1, -1, 1)},
+        variable_points=("v1",),
+        variable_lines=("L1",),
+        relations=(("q1", "L1"), ("q2", "L1"), ("v1", "L1"), ("v1", "M1"), ("v1", "M2")),
+        realization={"L1": line(0, 0, 1), "v1": point(1, 1, 0)},
+    )
+
+
+def heart_with_fixed_lines(heart):
+    """The heart problem with every third variable line fixed at its realization.
+
+    Fixed points and fixed lines from the start make waves that fire
+    lines and points together, unlike problems built by from_arrangement.
+    """
+    prob = heart_problem(heart)
+    lines = sorted(prob.variable_lines, key=_slot_key)
+    moved = set(lines[::3])
+    return IncidenceProblem(
+        fixed_points=prob.fixed_points,
+        fixed_lines={**prob.fixed_lines, **{l: prob.realization[l] for l in moved}},
+        variable_points=prob.variable_points,
+        variable_lines=tuple(l for l in prob.variable_lines if l not in moved),
+        relations=prob.relations,
+        realization={k: v for k, v in prob.realization.items() if k not in moved},
+    )
+
+
 PROBLEMS = {
     "heart-no-extra-points": lambda heart: from_arrangement(heart.arrangement),
     "closure-3": lambda heart: from_arrangement(Arrangement(closure(BASE_POINTS, 3)[-1].lines)),
     "certify": certify_problem,
+    "mixed": mixed_problem,
+    "heart-with-fixed-lines": heart_with_fixed_lines,
 }
 
 
@@ -198,6 +235,22 @@ def test_elimination_matches_resorting_loop(heart, seed):
 )
 def test_elimination_matches_resorting_loop_on_more_problems(heart, name, seed):
     _assert_matches_resorting_loop(PROBLEMS[name](heart), seed)
+
+
+def test_wave_fires_a_line_and_a_point_on_it_once_each():
+    _, trace = eliminate(mixed_problem())
+    assert [(s.wave, s.kind, s.slot, s.witnesses) for s in trace.steps] == [
+        (0, "line", "L1", ("q1", "q2")),
+        (0, "point", "v1", ("M1", "M2")),
+    ]
+
+
+def test_heart_with_fixed_lines_fires_lines_and_points_in_one_wave(heart):
+    _, trace = eliminate(heart_with_fixed_lines(heart))
+    kinds = {}
+    for s in trace.steps:
+        kinds.setdefault(s.wave, set()).add(s.kind)
+    assert {"line", "point"} in kinds.values()
 
 
 def test_certify_double_point_trace_matches_resorting_loop(heart):
