@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from itertools import combinations
 
@@ -310,12 +310,13 @@ class StructureReport:
     witnesses: dict
 
     @property
+    def checks(self) -> dict:
+        """The three verdicts by name, as the reports show them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witnesses"}
+
+    @property
     def all_ok(self) -> bool:
-        return (
-            self.pair_lines_hit_closure_points
-            and self.pair_lines_meet_at_pqr
-            and self.triangle_lines_avoid_extras
-        )
+        return all(self.checks.values())
 
 
 def check_structure(heart: HeartData) -> StructureReport:
@@ -327,7 +328,7 @@ def check_structure(heart: HeartData) -> StructureReport:
         31 lines apart from its own designated point.
     """
     arr = heart.arrangement
-    cons_points = set(closure(BASE_POINTS, 3)[-1].points)
+    cons_points = set(intersection_points(arr.lines[i] for i in heart.closure_line_indices))
     witnesses: dict = {}
 
     ok1 = True
@@ -370,9 +371,8 @@ def check_structure(heart: HeartData) -> StructureReport:
 
 def height_report(heart: HeartData) -> dict:
     """Sanity statistics under both height readings (max and min entry)."""
-    stages = closure(BASE_POINTS, 3)
-    pts = stages[-1].points
-    lns = stages[-1].lines
+    lns = [heart.arrangement.lines[i] for i in heart.closure_line_indices]
+    pts = list(intersection_points(lns))
     return {
         "closure_points_max_height": max(height(p) for p in pts),
         "closure_points_min_reading": max(min_entry_height(p) for p in pts),

@@ -6,11 +6,13 @@ The character sweep is exact throughout: lattice arithmetic is plain
 integer arithmetic (vectorized in int64, far from overflow), and every
 cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
-Condition (a) runs one batched regularity scan per worker: residuation
-along lines proves most first vanishing degrees, and the Euler-reduced
-witnesses of the rest are ranked in zero-padded stacks.  That scan is
-the only place h1 = 0 is decided: h1 in the twist degree, which the
-invariants need, is read off the regularity it returns.
+Condition (a) runs one batched regularity scan per worker: it starts
+each character where the heaviest line of its own line bank forces
+h1 > 0 below, residuation along those lines proves most first vanishing
+degrees, and the Euler-reduced witnesses of the rest are ranked in
+zero-padded stacks.  That scan is the only place h1 = 0 is decided: h1
+in the twist degree, which the invariants need, is read off the
+regularity it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -111,25 +113,15 @@ class ConditionAResult:
     failures: list
 
 
-def line_bounds(sweep: SweepData) -> np.ndarray:
-    """Per character, a degree below which h1 of its scheme cannot vanish.
-
-    Fat points on one line whose multiplicities sum to s restrict to a
-    degree-s scheme on the line, which forces h1 > 0 in every degree
-    t <= s - 2; h1 only grows on passing to the whole scheme.  The bound
-    is s - 1 for the heaviest of the arrangement's lines.
-    """
-    return (np.clip(sweep.h_mult, 0, None) @ sweep.inc).max(axis=1) - 1
-
-
 def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     """reg < d for every nontrivial character, with exact reg recorded.
 
     reg comes from one certified upward scan over all characters
-    (:func:`regularities`), starting at the line bounds; with several
-    workers, each scans a contiguous slice of the characters.  The
-    workers are capped by the CPU count and the number of characters;
-    the output does not depend on their number.
+    (:func:`regularities`, which proves where each scan may start from
+    its own line bank); with several workers, each scans a contiguous
+    slice of the characters.  The workers are capped by the CPU count
+    and the number of characters; the output does not depend on their
+    number.
 
     h1 in the twist degree d feeds the irregularity computation, and it
     is read off reg rather than decided again: the scan proves h1 > 0
@@ -140,21 +132,15 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     """
     points = sweep.table.points
     mults = sweep.h_mult[1:]
-    starts = line_bounds(sweep)[1:]
     workers = min(threads, os.cpu_count() or 1, len(mults))
     if workers > 1:
         cuts = np.linspace(0, len(mults), workers + 1).astype(int)
         slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                regularities,
-                [points] * workers,
-                [mults[s] for s in slices],
-                [starts[s] for s in slices],
-            )
+            parts = pool.map(regularities, [points] * workers, [mults[s] for s in slices])
             regs = np.concatenate(list(parts))
     else:
-        regs = regularities(points, mults, starts)
+        regs = regularities(points, mults)
 
     fat = np.clip(mults, 0, None)
     degrees = (fat * (fat + 1) // 2).sum(axis=1).tolist()
@@ -179,7 +165,7 @@ class ConditionBResult:
     max_value: int
     witness: dict
     pairs_checked: int
-    exceptional_values_ok: bool
+    exceptional_cross_check_ok: bool
 
 
 def check_condition_b(sweep: SweepData) -> ConditionBResult:
@@ -187,7 +173,7 @@ def check_condition_b(sweep: SweepData) -> ConditionBResult:
 
     Exceptional divisors need no search: their coefficient in every
     character class is nonpositive, so E.(E - L_chi) = -1 + coefficient
-    is automatically negative.  ``exceptional_values_ok`` recomputes
+    is automatically negative.  ``exceptional_cross_check_ok`` recomputes
     them anyway as a cross-check of that justification.
     """
     d_dot_l = sweep.c_chi[:, None] - sweep.e_floor @ sweep.inc
@@ -304,17 +290,7 @@ class InvariantsResult:
     q_h1_route_ok: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "K2": self.K2,
-            "chi": self.chi,
-            "pg": self.pg,
-            "q": self.q,
-            "slope": str(self.slope),
-            "slope_decimal": f"{float(self.slope):.4f}",
-            "bmy_ok": self.bmy_ok,
-            "kuranishi_lower_bound": self.kuranishi_lower_bound,
-            "q_h1_route_ok": self.q_h1_route_ok,
-        }
+        return {**asdict(self), "slope": str(self.slope), "slope_decimal": f"{float(self.slope):.4f}"}
 
 
 def invariants(sweep: SweepData, cond_a: ConditionAResult) -> InvariantsResult:
@@ -416,23 +392,12 @@ def _character_sections(
     t0 = time.perf_counter()
     cond_b = check_condition_b(sweep)
     timings["condition_b"] = time.perf_counter() - t0
-    sections["condition_b"] = {
-        "verdict": cond_b.verdict,
-        "max_value": cond_b.max_value,
-        "witness": cond_b.witness,
-        "pairs_checked": cond_b.pairs_checked,
-        "exceptional_cross_check_ok": cond_b.exceptional_values_ok,
-    }
+    sections["condition_b"] = asdict(cond_b)
 
     t0 = time.perf_counter()
     cond_c = check_condition_c(sweep)
     timings["condition_c"] = time.perf_counter() - t0
-    sections["condition_c"] = {
-        "verdict": cond_c.verdict,
-        "min_slack": cond_c.min_slack,
-        "witness": cond_c.witness,
-        "binding_cases": cond_c.binding_cases,
-    }
+    sections["condition_c"] = asdict(cond_c)
 
     t0 = time.perf_counter()
     inv = invariants(sweep, cond_a)
@@ -483,32 +448,14 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     timings["incidence"] = time.perf_counter() - t0
     sections["incidence"] = {
         "verdict": bool(dp.ok and structure.all_ok),
-        "structure_checks": {
-            "pair_lines_hit_closure_points": structure.pair_lines_hit_closure_points,
-            "pair_lines_meet_at_pqr": structure.pair_lines_meet_at_pqr,
-            "triangle_lines_avoid_extras": structure.triangle_lines_avoid_extras,
-        },
-        "message": dp.message,
-        "classification": dp.classification,
-        "discriminant": dp.discriminant,
-        "residual_relations": dp.residual_relation_count,
-        "wave_sizes": list(dp.wave_sizes),
-        "extra_points": dp.extra_point_count,
-        "pqr": [str(x) for x in dp.pqr] if dp.pqr else None,
+        "structure_checks": structure.checks,
+        **dp.to_jsonable(),
     }
 
     t0 = time.perf_counter()
     validation = validate_labels(labels, table)
     timings["building_data"] = time.perf_counter() - t0
-    sections["building_data"] = {
-        "verdict": validation.all_ok,
-        "divisibility": validation.divisibility,
-        "injectivity": validation.injectivity,
-        "spanning": validation.spanning,
-        "smoothness": validation.smoothness,
-        "distinct_projective_labels": validation.distinct_projective_labels,
-        "projective_space_size": validation.projective_space_size,
-    }
+    sections["building_data"] = {"verdict": validation.all_ok, **validation.to_jsonable()}
 
     t0 = time.perf_counter()
     ample = check_ample(labels.p, table)
@@ -555,5 +502,4 @@ __all__ = [
     "check_condition_c",
     "full_certificate",
     "invariants",
-    "line_bounds",
 ]

@@ -101,11 +101,7 @@ def cmd_heart(args) -> int:
     payload = {
         "lines": len(heart.arrangement.lines),
         "singular_points": table.num_points,
-        "structure_checks": {
-            "pair_lines_hit_closure_points": report.pair_lines_hit_closure_points,
-            "pair_lines_meet_at_pqr": report.pair_lines_meet_at_pqr,
-            "triangle_lines_avoid_extras": report.triangle_lines_avoid_extras,
-        },
+        "structure_checks": report.checks,
         "heights": arrmod.height_report(heart),
     }
     _emit(payload, args)
@@ -172,17 +168,7 @@ def cmd_incidence(args) -> int:
             "relations": [list(rel) for rel in cert.reduced.relations],
         }
         _write_output(json.dumps(trace_payload, indent=2, sort_keys=True) + "\n", args.trace)
-    payload = {
-        "ok": cert.ok,
-        "message": cert.message,
-        "pqr": [str(x) for x in cert.pqr] if cert.pqr else None,
-        "classification": cert.classification,
-        "discriminant": cert.discriminant,
-        "residual_relations": cert.residual_relation_count,
-        "wave_sizes": list(cert.wave_sizes),
-        "extra_points": cert.extra_point_count,
-    }
-    _emit(payload, args)
+    _emit({"ok": cert.ok, **cert.to_jsonable()}, args)
     return 0 if cert.ok else 1
 
 
@@ -221,16 +207,7 @@ def cmd_lambda(args) -> int:
         raise InputError(str(exc)) from exc
     completion_ok = lm.line_labels == tuple(tuple(x) for x in labels)
     report = covermod.validate_labels(lm, table)
-    payload = {
-        "completion_consistent": completion_ok,
-        "divisibility": report.divisibility,
-        "injectivity": report.injectivity,
-        "spanning": report.spanning,
-        "smoothness": report.smoothness,
-        "distinct_projective_labels": report.distinct_projective_labels,
-        "projective_space_size": report.projective_space_size,
-    }
-    _emit(payload, args)
+    _emit({"completion_consistent": completion_ok, **report.to_jsonable()}, args)
     return 0 if report.all_ok and completion_ok else 1
 
 

@@ -14,8 +14,10 @@ integer matrices; full row rank mod the one prime ``RANK_PRIME``
 certifies full rank, which is what the large verification sweep needs,
 and Bareiss settles every other case.  The prime is small enough for
 the elimination to run on int32 residues.  The sweep's schemes all
-live on one point set, so :func:`regularities` scans them together.  At
-each scheme's first degree a chain of residuations along lines (Horace's
+live on one point set, so :func:`regularities` scans them together.  It
+builds one bank of the lines through at least four of the points; the
+heaviest bank line of each scheme bounds where its scan starts, and at
+that first degree a chain of residuations along bank lines (Horace's
 method) proves h1 = 0 for most of them with no matrix at all; the rest
 are ranked per degree from one bank of conditions rows, in zero-padded
 stacks mod the prime.  Residuation only ever proves h1 = 0; every other
@@ -386,26 +388,25 @@ def _residuated(rich, mults, t) -> np.ndarray:
     return ~h.any(axis=1)
 
 
-def _check_scan_cap(t, bound, which) -> None:
-    """Refuse a scan of the schemes ``which`` past their cap ``bound``."""
-    over = which[t[which] > bound[which]]
-    if over.size:
-        raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
-
-
-def regularities(points, mults, starts) -> np.ndarray:
+def regularities(points, mults) -> np.ndarray:
     """Regularity of many fat-point schemes on one point set, in one scan.
 
     Row k of ``mults`` gives the multiplicity of each of ``points`` in
-    scheme k (values <= 0 leave the point out), and ``starts[k]`` is a
-    proven lower bound for its first vanishing degree.  Each scheme is
-    scanned upward as by ``regularity(scheme, fast=True)`` from
-    t0 = max(start, the counting bound), and gets the same regularities:
+    scheme k (values <= 0 leave the point out).  Each scheme is scanned
+    upward as by ``regularity(scheme, fast=True)`` from a proven lower
+    bound t0 for its first vanishing degree, and gets the same
+    regularities:
 
-    - at t0, a chain of line residuations (:func:`_residuated`) proves
-      h1 = 0 for most schemes without a matrix; since h1 > 0 at t0 - 1,
-      their regularity is t0 + 1.  Residuation only ever proves h1 = 0;
-      every scheme it leaves goes through the stacks below, from t0;
+    - t0 is the larger of the counting bound, the smallest t with
+      C(t+2, 2) >= deg, and s - 1 for the heaviest line of the line bank
+      (:func:`_line_bank`), whose points' multiplicities sum to s: the
+      scheme restricts to a degree-s scheme on it, which forces h1 > 0
+      in every degree t <= s - 2;
+    - at t0, a chain of residuations along the same lines
+      (:func:`_residuated`) proves h1 = 0 for most schemes without a
+      matrix; since h1 > 0 at t0 - 1, their regularity is t0 + 1.
+      Residuation only ever proves h1 = 0; every scheme it leaves goes
+      through the stacks below, from t0;
     - at degree t, every remaining scheme's Euler-reduced conditions
       matrix mod ``RANK_PRIME`` (:func:`_euler_rows` of what
       :func:`conditions_matrix_mod` builds) is a row selection from one
@@ -422,25 +423,24 @@ def regularities(points, mults, starts) -> np.ndarray:
       by Bareiss) and moves on to t + 1 only when h1 does not vanish
       there.
 
-    The scan cap 3 + sum of multiplicities is checked before any proof.
+    Both bounds are at most the sum of multiplicities minus one, below
+    the scan cap 3 + that sum; the cap is checked at every ranked degree.
     Each (scheme, degree) is ranked mod the prime at most once.
     """
     points = tuple(points)
     mults = np.clip(np.asarray(mults, dtype=np.int64).reshape(-1, len(points)), 0, None)
-    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
     count = mults.shape[0]
     regs = np.zeros(count, dtype=np.int64)
     deg = (mults * (mults + 1) // 2).sum(axis=1)
     if not deg.any():
         return regs
     bound = 3 + mults.sum(axis=1)
-    # the smallest t with C(t+2, 2) >= deg, below which h1 > 0 for free
+    rich = _line_bank(points)
     triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
-    t = np.maximum(starts, np.searchsorted(triangular, deg))
+    t = np.maximum((mults @ rich.T).max(axis=1, initial=0) - 1, np.searchsorted(triangular, deg))
     live = np.nonzero(deg)[0]
-    _check_scan_cap(t, bound, live)
 
-    proved = _residuated(_line_bank(points), mults[live], t[live])
+    proved = _residuated(rich, mults[live], t[live])
     regs[live[proved]] = t[live[proved]] + 1
     live = live[~proved]
     if not live.size:
@@ -461,7 +461,9 @@ def regularities(points, mults, starts) -> np.ndarray:
     while live.size:
         level = int(t[live].min())
         now = live[t[live] == level]
-        _check_scan_cap(t, bound, now)
+        over = now[bound[now] < level]
+        if over.size:
+            raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
         bank = conditions_matrix_mod(full, level, q).astype(kernel_dtype(q))
         per_stack = max(1, _STACK_CELLS // (int(deg[now].max()) * bank.shape[1]))
         for chunk in np.array_split(now, ceil(now.size / per_stack)):

@@ -11,7 +11,7 @@ class, the twist datum driving all downstream cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
@@ -94,9 +94,12 @@ def class_keys(labels: np.ndarray, p: int) -> np.ndarray:
 
 
 def distinct_nonzero(keys: np.ndarray) -> np.ndarray:
-    """Per row of class keys: no zero label and no two labels in one class."""
+    """Per row of class keys: no zero label and no two labels in one class.
+
+    An empty row has neither.
+    """
     keys = np.sort(keys, axis=-1)
-    return (keys[..., 0] >= 0) & (np.diff(keys, axis=-1) != 0).all(axis=-1)
+    return (keys.min(axis=-1, initial=0) >= 0) & (np.diff(keys, axis=-1) != 0).all(axis=-1)
 
 
 def complete_labels(partial, table: IncidenceTable, p: int, r: int) -> LabelMap:
@@ -136,6 +139,10 @@ class ValidationReport:
     @property
     def all_ok(self) -> bool:
         return self.divisibility and self.injectivity and self.spanning and self.smoothness
+
+    def to_jsonable(self) -> dict:
+        """The four verdicts and two counts, as the reports show them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
 
 
 def validate_labels(labels: LabelMap, table: IncidenceTable) -> ValidationReport:
@@ -292,17 +299,15 @@ def _require_free_completion(table: IncidenceTable, p: int) -> None:
 
     A zero row of the completion matrix mod p makes that label zero, and
     two proportional rows put two labels in one class, whatever is drawn.
-    Each row is scaled so that its first nonzero entry is 1 and compared
-    exactly, as base-p keys of rows this long overflow int64.
+    Rows are compared by :func:`projective_label`, as base-p keys of rows
+    this long overflow int64.
     """
     slots = [*(f"line {l}" for l in table.arrangement.lines), *(f"point {q}" for q in table.points)]
-    first: dict[tuple[int, ...], int] = {}
-    for k, row in enumerate(_completion_matrix(table).tolist()):
-        lead = next((x for x in row if x % p), None)
-        if lead is None:
+    first: dict[Vector, int] = {}
+    for k, row in enumerate((_completion_matrix(table) % p).tolist()):
+        key = projective_label(row, p)
+        if key is None:
             raise ValueError(f"the completed label of {slots[k]} is zero mod {p} for every draw")
-        inv = pow(lead, -1, p)
-        key = tuple(x * inv % p for x in row)
         if key in first:
             raise ValueError(
                 f"the completed labels of {slots[first[key]]} and {slots[k]} "

@@ -357,6 +357,18 @@ class DoublePointCertificate:
     trace: EliminationTrace
     reduced: IncidenceProblem = field(repr=False, default=None)
 
+    def to_jsonable(self) -> dict:
+        """The report fields: all but the verdict, the trace and the residue."""
+        return {
+            "message": self.message,
+            "pqr": [str(x) for x in self.pqr] if self.pqr else None,
+            "classification": self.classification,
+            "discriminant": self.discriminant,
+            "residual_relations": self.residual_relation_count,
+            "wave_sizes": list(self.wave_sizes),
+            "extra_points": self.extra_point_count,
+        }
+
 
 def certify_double_point(arr: Arrangement, pqr=None) -> DoublePointCertificate:
     """Eliminate, match the triangle pattern, and classify the residue.

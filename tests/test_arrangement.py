@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,6 +167,22 @@ def test_structure_detects_pair_lines_missing_closure_points(heart):
     )
     report = check_structure(perturbed)
     assert not report.pair_lines_hit_closure_points
+
+
+def test_structure_and_heights_read_the_heart_closure_stage(heart):
+    # a heart whose closure lines are the 9 lines of the second stage:
+    # the paired lines hit too few of its 13 points, and the heights are
+    # that stage's, not those of a third stage rebuilt on the side
+    stage = closure(BASE_POINTS, 2)[-1]
+    early = replace(heart, closure_line_indices=tuple(heart.arrangement.index(l) for l in stage.lines))
+    report = check_structure(early)
+    assert not report.pair_lines_hit_closure_points
+    misses = report.witnesses["pair_line_misses"]
+    assert [m["line"] for m in misses] == list(range(26, 32))
+    assert misses[4]["closure_points_hit"] == ["(2:1:1)"]
+    rep = height_report(early)
+    assert rep["closure_points_max_height"] == max(height(p) for p in stage.points) == 2
+    assert rep["closure_lines_max_height"] == max(height(l) for l in stage.lines) == 1
 
 
 def test_height_report(heart):

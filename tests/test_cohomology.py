@@ -117,8 +117,7 @@ def test_regularity_fast_path_agrees():
         points = [p for p, _ in fat.points]
         mults = [[h for _, h in fat.points]]
         assert regularity(fat) == regularity(fat, fast=True)
-        assert regularity(fat) == regularities(points, mults, [_line_bound(fat)])[0]
-        assert regularity(fat) == regularities(points, mults, [0])[0]
+        assert regularity(fat) == regularities(points, mults)[0]
 
 
 # a fixed point set: four points on z = 0, three on x = y, and two more
@@ -132,15 +131,14 @@ FIXED_POINTS = tuple(
 
 def test_regularities_match_exact_scan():
     # one batched scan over many multiplicity rows against the exact scan
-    # of each scheme; from degree 0 many schemes need a second degree
+    # of each scheme; from the counting bound many schemes need a later
+    # degree
     rng = random.Random(11)
     rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(60)]
     rows += [[0] * len(FIXED_POINTS), [3, 3, 3, 3, 0, 0, 0, 0, 0], [1] * len(FIXED_POINTS)]
     schemes = [fat_points(FIXED_POINTS, row) for row in rows]
     exact = [regularity(fat) for fat in schemes]
-    bounds = [_line_bound(fat) if fat.points else 0 for fat in schemes]
-    assert regularities(FIXED_POINTS, rows, [0] * len(rows)).tolist() == exact
-    assert regularities(FIXED_POINTS, rows, bounds).tolist() == exact
+    assert regularities(FIXED_POINTS, rows).tolist() == exact
     # rows whose scan from its first possible degree did not stop there
     later = [
         reg for fat, reg in zip(schemes, exact)
@@ -149,7 +147,7 @@ def test_regularities_match_exact_scan():
     assert len(later) >= 20
     # nonpositive multiplicities leave a point out
     negative = [[-h for h in row] for row in rows]
-    assert not regularities(FIXED_POINTS, negative, [0] * len(rows)).any()
+    assert not regularities(FIXED_POINTS, negative).any()
 
 
 def test_regularities_fall_back_when_the_first_prime_fails(monkeypatch):
@@ -161,21 +159,26 @@ def test_regularities_fall_back_when_the_first_prime_fails(monkeypatch):
     rows = [[rng.choice((0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(30)]
     exact = [regularity(fat_points(FIXED_POINTS, row)) for row in rows]
     monkeypatch.setattr(cohomology, "RANK_PRIME", 7)
-    assert regularities(FIXED_POINTS, rows, [0] * len(rows)).tolist() == exact
+    assert regularities(FIXED_POINTS, rows).tolist() == exact
 
 
 def test_regularities_rank_each_degree_once_mod_the_prime(monkeypatch):
     # a scheme the stack leaves short of full rank goes straight to the
-    # exact rank: one bank per scanned degree, no second rank mod the prime
+    # exact rank: one bank per scanned degree, no second rank mod the
+    # prime; each scan starts at the heavier of the line bank's bound and
+    # the counting bound, and with residuation proving nothing every
+    # scheme goes through the stacks from there
     import rigidsurf.cohomology as cohomology
 
     rng = random.Random(13)
     rows = [[rng.choice((0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(30)]
     schemes = [fat_points(FIXED_POINTS, row) for row in rows]
     exact = [regularity(fat) for fat in schemes]
+    rich = _line_bank(FIXED_POINTS)
     scanned = set()
-    for fat, reg in zip(schemes, exact):
-        first = next(t for t in range(99) if comb(t + 2, 2) >= fat.degree)
+    for row, fat, reg in zip(rows, schemes, exact):
+        counting = next(t for t in range(99) if comb(t + 2, 2) >= fat.degree)
+        first = max(int((rich @ row).max()) - 1, counting)
         scanned.update(range(first, reg))
 
     calls = {"conditions_matrix_mod": 0, "rank_mod": 0, "hilbert_rank": 0}
@@ -190,9 +193,10 @@ def test_regularities_rank_each_degree_once_mod_the_prime(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cohomology, "RANK_PRIME", 7)
+    monkeypatch.setattr(cohomology, "_residuated", lambda rich, mults, t: np.zeros(len(mults), bool))
     for name in calls:
         monkeypatch.setattr(cohomology, name, counted(name))
-    assert regularities(FIXED_POINTS, rows, [0] * len(rows)).tolist() == exact
+    assert regularities(FIXED_POINTS, rows).tolist() == exact
     assert calls["rank_mod"] == 0
     assert calls["conditions_matrix_mod"] == len(scanned)
     assert calls["hilbert_rank"] > 0
@@ -222,7 +226,6 @@ def test_regularities_split_stacks_by_the_cell_budget(monkeypatch):
     rows = [[rng.choice((0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(40)]
     schemes = [fat_points(FIXED_POINTS, row) for row in rows]
     exact = [regularity(fat) for fat in schemes]
-    bounds = [_line_bound(fat) if fat.points else 0 for fat in schemes]
     shapes = []
 
     def recorded(stack, q):
@@ -230,15 +233,13 @@ def test_regularities_split_stacks_by_the_cell_budget(monkeypatch):
         return ranks_mod(stack, q)
 
     monkeypatch.setattr(cohomology, "ranks_mod", recorded)
-    for starts in ([0] * len(rows), bounds):
-        assert regularities(FIXED_POINTS, rows, starts).tolist() == exact
+    assert regularities(FIXED_POINTS, rows).tolist() == exact
     unsplit = len(shapes)
     shapes.clear()
-    monkeypatch.setattr(cohomology, "_STACK_CELLS", 400)
-    for starts in ([0] * len(rows), bounds):
-        assert regularities(FIXED_POINTS, rows, starts).tolist() == exact
+    monkeypatch.setattr(cohomology, "_STACK_CELLS", 1000)
+    assert regularities(FIXED_POINTS, rows).tolist() == exact
     assert len(shapes) > unsplit
-    assert all(b == 1 or b * r * c <= 400 for b, r, c in shapes)
+    assert all(b == 1 or b * r * c <= 1000 for b, r, c in shapes)
     assert any(b > 1 for b, _, _ in shapes)
 
 
@@ -305,9 +306,16 @@ def test_bundled_sweep_falls_back_only_on_true_deficiencies(sweep, cond_a, monke
         assert bareiss_rank(conditions_matrix(fat, t)) < fat.degree
 
 
-def test_regularities_cap_the_scan():
-    with pytest.raises(ArithmeticError):
-        regularities(FIXED_POINTS[:1], [[1]], [5])
+def test_regularities_cap_the_scan(monkeypatch):
+    # both start bounds lie below the cap 3 + sum of multiplicities, so
+    # only ranks that never certify h1 = 0 can carry a scan past it
+    import rigidsurf.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "_residuated", lambda rich, mults, t: np.zeros(len(mults), bool))
+    monkeypatch.setattr(cohomology, "ranks_mod", lambda stack, q: np.zeros(len(stack), np.int64))
+    monkeypatch.setattr(cohomology, "hilbert_rank", lambda fat, t: 0)
+    with pytest.raises(ArithmeticError, match="exceeded bound 4"):
+        regularities(FIXED_POINTS[:1], [[1]])
 
 
 def test_ideal_of_chi(labels, table):

@@ -24,7 +24,7 @@ from rigidsurf.cover import (
     _completion_matrix,
 )
 from rigidsurf.picard import DivisorClass, intersect, strict_transform, zero
-from rigidsurf.projective import meet, point
+from rigidsurf.projective import line, meet, point
 
 
 def test_pairing_lift_examples():
@@ -322,6 +322,14 @@ def test_search_refuses_more_labels_than_projective_classes():
         empirical_acceptance(table, 2, 2, seed=2, attempts=10)
     # exactly as many classes as labels is allowed: P^2(F_3) has 13
     assert random_label_search(table, 3, 3, seed=2).accepted
+
+
+def test_empirical_acceptance_counts_no_success_on_one_line():
+    # one line: no label is drawn, so every key row starts empty, and the
+    # completed label of the line is minus the empty sum, zero
+    table = singular_points(Arrangement((line(1, 0, 0),)))
+    assert distinct_nonzero(np.zeros((2, 0), dtype=np.int32)).tolist() == [True, True]
+    assert empirical_acceptance(table, 7, 4, seed=1, attempts=5) == (0, 5)
 
 
 def test_search_refuses_labels_that_cannot_span():
