@@ -9,8 +9,9 @@ mod a prime (hence exact) or settled by fraction-free elimination.
 Condition (a) runs one batched regularity scan per worker: it starts
 each character where the heaviest line of its own line bank forces
 h1 > 0 below, residuation along those lines proves most first vanishing
-degrees, and the Euler-reduced witnesses of the rest are ranked in
-zero-padded stacks.  That scan is the only place h1 = 0 is decided: h1
+degrees or leaves a smaller residual to rank, and the Euler-reduced
+witnesses of the rest are ranked in zero-padded stacks, with a conic of
+two bank lines proving h1 > 0 before any exact fallback.  That scan is the only place h1 = 0 is decided: h1
 in the twist degree, which the invariants need, is read off the
 regularity it returns.
 """
@@ -118,7 +119,11 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
 
     reg comes from one certified upward scan over all characters
     (:func:`regularities`, which proves where each scan may start from
-    its own line bank); with several workers, each scans a contiguous
+    its own line bank, proves h1 = 0 there by residuation along its
+    lines, emptying the scheme or ranking the residual mod a prime,
+    ranks the rest upward mod the prime, and proves h1 > 0 where that
+    rank falls short by a conic of two bank lines or by Bareiss); with
+    several workers, each scans a contiguous
     slice of the characters.  The workers are capped by the CPU count
     and the number of characters; the output does not depend on their
     number.

@@ -16,12 +16,17 @@ and Bareiss settles every other case.  The prime is small enough for
 the elimination to run on int32 residues.  The sweep's schemes all
 live on one point set, so :func:`regularities` scans them together.  It
 builds one bank of the lines through at least four of the points; the
-heaviest bank line of each scheme bounds where its scan starts, and at
+heaviest bank line of each scheme bounds where its scan starts.  At
 that first degree a chain of residuations along bank lines (Horace's
-method) proves h1 = 0 for most of them with no matrix at all; the rest
-are ranked per degree from one bank of conditions rows, in zero-padded
-stacks mod the prime.  Residuation only ever proves h1 = 0; every other
-decision is the rank's.
+method) empties most schemes, which proves h1 = 0 with no matrix at
+all.  A chain stops before its residual would pass the counting bound,
+so the residual it leaves is ranked in its place, at a lower degree and
+with fewer rows, and full rank there proves h1 = 0 for the scheme.
+Residuals and the originals they do not settle are ranked per degree
+from one bank of conditions rows, in zero-padded stacks mod the prime.
+An original short of full rank there has h1 > 0 proved by a conic of
+two bank lines or settled by Bareiss.  Each shortcut proves one
+direction only: residuation h1 = 0, the conic h1 > 0.
 """
 
 from __future__ import annotations
@@ -44,11 +49,10 @@ from .projective import ProjectivePoint
 RANK_PRIME = 46_337
 assert kernel_dtype(RANK_PRIME) == np.int32
 
-# regularities ranks the schemes of one degree in zero-padded stacks of
-# at most _STACK_CELLS cells.  On the bundled sweep, after residuation,
-# the largest unsplit stack has 99,792 cells and the split changes
-# neither the time nor the certificate's peak RSS (43.9 MB, 2 cores,
-# numpy 2.4); the cap bounds the memory of sweeps residuation leaves
+# regularities ranks the jobs of one degree in zero-padded stacks of at
+# most _STACK_CELLS cells.  On the bundled sweep, with residuals ranked
+# in place of their schemes, the largest stack has 19,600 cells and
+# none is split; the cap bounds the memory of sweeps residuation leaves
 # larger.
 _STACK_CELLS = 65_536
 
@@ -339,7 +343,8 @@ def _line_bank(points) -> np.ndarray:
     joins = np.cross(xyz[a], xyz[b])
     # a repeated point joins to zero, which is no line
     on = ((joins @ xyz.T) == 0) & (joins != 0).any(axis=1)[:, None]
-    return np.unique(on[on.sum(axis=1) >= 4], axis=0)
+    # return_index keeps np.unique off the path that imports numpy.ma
+    return np.unique(on[on.sum(axis=1) >= 4], axis=0, return_index=True)[0]
 
 
 def _fits(s, t):
@@ -347,90 +352,126 @@ def _fits(s, t):
     return (s > 0) & (s <= t + 1)
 
 
-def _residuated(rich, mults, t) -> np.ndarray:
-    """Which schemes a chain of line residuations proves to have h1 = 0 in degree t.
+def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a greedy chain of line residuations leaves of each scheme.
 
     For a line L whose points have multiplicities summing to s_L, the
     residual sequence
     0 -> I_{Res_L Z}(t - 1) -> I_Z(t) -> O_L(t - s_L) -> 0, with
     h1(O_P1(t - s_L)) = 0 when s_L <= t + 1, makes h1(I_Z(t)) = 0 follow
     from h1(I_{Res_L Z}(t - 1)) = 0, where Res_L Z lowers the multiplicity
-    of each point of Z on L by one.  The empty scheme has h1 = 0 in every
-    degree, so a chain of such steps that empties Z proves h1(I_Z(t)) = 0
-    (Horace's method: Hirschowitz, Manuscripta Math. 50, 1985).
+    of each point of Z on L by one, and its degree by s_L (Horace's
+    method: Hirschowitz, Manuscripta Math. 50, 1985).  So h1 = 0 for the
+    last residual of a chain proves it for Z in degree t; the empty
+    scheme has h1 = 0 in every degree.
 
-    The lines are the ``rich`` ones (:func:`_line_bank`) and, for each
-    point, a line through it alone, whose s_L is the point's
-    multiplicity (a point lies on infinitely many lines over Q, and only
-    finitely many meet another point).  Each step takes the heaviest line
-    that fits; a scheme with no such line is left unproved, which claims
-    nothing about it.  Line sums come from a gather and ``add.reduceat``,
-    in int16 whenever the sums and degrees fit.
+    A line is peeled in degree t only when it fits (:func:`_fits`) and
+    deg - s_L <= C(t + 1, 2): a residual past the counting bound has
+    h1 > 0, so no chain through it can end well.  Every residual of a
+    scheme with deg <= C(t + 2, 2) therefore keeps deg' <= C(t' + 2, 2),
+    so t' >= h' - 1 at each of its points.  The lines are the ``rich``
+    ones (:func:`_line_bank`) and, for each point, a line through it
+    alone, whose s_L is the point's multiplicity (a point lies on
+    infinitely many lines over Q, and only finitely many meet another
+    point).  Each step takes the heaviest line allowed; a chain stops
+    when none is, or when it empties the scheme.  Line sums come from a
+    gather and ``add.reduceat``, in int16 whenever the sums and degrees
+    fit.
+
+    Returns the residual multiplicities, degrees and degrees t' (int64).
     """
     small = max(int(t.max(initial=0)) + 1, int(mults.sum(axis=1).max(initial=0))) < 2**15
     dtype = np.int16 if small else np.int64
     h, t = mults.astype(dtype), t.astype(dtype)
+    deg = (mults * (mults + 1) // 2).sum(axis=1)
     lines = np.concatenate([rich, np.eye(h.shape[1], dtype=bool)])
     line_of, point_of = np.nonzero(rich)
     first = np.searchsorted(line_of, np.arange(len(rich)))
-    live = np.flatnonzero(h.any(axis=1))
+    live = np.flatnonzero(deg)
     while live.size:
-        hl = h[live]
+        hl, tl = h[live], t[live].astype(np.int64)
         s = np.concatenate([np.add.reduceat(hl[:, point_of], first, axis=1, dtype=dtype), hl], axis=1)
-        fits = _fits(s, t[live, None])
-        best = (s * fits).argmax(axis=1)
-        step = fits[np.arange(live.size), best]
-        live, hl = live[step], hl[step]
-        hl -= lines[best[step]] & (hl > 0)
+        allowed = _fits(s, tl[:, None]) & (s >= (deg[live] - tl * (tl + 1) // 2)[:, None])
+        best = (s * allowed).argmax(axis=1)
+        step = allowed[np.arange(live.size), best]
+        live, hl, best = live[step], hl[step], best[step]
+        deg[live] -= s[step, best]
+        hl -= lines[best] & (hl > 0)
         h[live] = hl
         t[live] -= 1
-        live = live[hl.any(axis=1)]
-    return ~h.any(axis=1)
+        live = live[deg[live] > 0]
+    return h.astype(np.int64), deg, t.astype(np.int64)
+
+
+def _conic_lengths(lines, mults) -> np.ndarray:
+    """Length of each scheme on each conic L1 + L2 of two ``lines`` (schemes x pairs).
+
+    Off the node a fat point hP meets L1 + L2 in its line's length h; at
+    the node it has length 2h - 1 (the monomials of degree < h that xy
+    does not divide), so the length is s1 + s2, less one when the node is
+    a point of the scheme.
+    """
+    a, b = np.triu_indices(len(lines), 1)
+    on = mults @ lines.T
+    nodes = (mults > 0).astype(np.int64) @ (lines[a] & lines[b]).T
+    return on[:, a] + on[:, b] - nodes
+
+
+def _two_line_witness(lines, mults, t) -> np.ndarray:
+    """Which schemes a conic of two ``lines`` proves to have h1 > 0 in degree t >= 0.
+
+    The residual sequence of a conic C,
+    0 -> I_{Res_C Z}(t - 2) -> I_Z(t) -> I_{Z∩C, C}(t) -> 0, has
+    h2(O(t - 2)) = 0, so h1(I_Z(t)) >= h1(I_{Z∩C, C}(t)) >= s - h0(O_C(t))
+    = s - 2t - 1 for Z∩C of length s (:func:`_conic_lengths`); a length
+    s >= 2t + 2 proves h1 > 0.
+    """
+    return (_conic_lengths(lines, mults) >= 2 * t + 2).any(axis=1)
 
 
 def regularities(points, mults) -> np.ndarray:
     """Regularity of many fat-point schemes on one point set, in one scan.
 
     Row k of ``mults`` gives the multiplicity of each of ``points`` in
-    scheme k (values <= 0 leave the point out).  Each scheme is scanned
-    upward as by ``regularity(scheme, fast=True)`` from a proven lower
-    bound t0 for its first vanishing degree, and gets the same
-    regularities:
+    scheme k (values <= 0 leave the point out).  Each scheme gets the
+    regularity of ``regularity(scheme, fast=True)``, from proofs alone:
 
     - t0 is the larger of the counting bound, the smallest t with
       C(t+2, 2) >= deg, and s - 1 for the heaviest line of the line bank
       (:func:`_line_bank`), whose points' multiplicities sum to s: the
       scheme restricts to a degree-s scheme on it, which forces h1 > 0
-      in every degree t <= s - 2;
+      in every degree t <= s - 2.  So h1 > 0 at t0 - 1;
     - at t0, a chain of residuations along the same lines
-      (:func:`_residuated`) proves h1 = 0 for most schemes without a
-      matrix; since h1 > 0 at t0 - 1, their regularity is t0 + 1.
-      Residuation only ever proves h1 = 0; every scheme it leaves goes
-      through the stacks below, from t0;
-    - at degree t, every remaining scheme's Euler-reduced conditions
+      (:func:`_residual`) reduces each scheme to a residual Res in a
+      degree t' <= t0, and h1(I_Res(t')) = 0 proves h1 = 0 at t0, so
+      reg = t0 + 1.  An empty residual proves it without a matrix;
+    - the rest is one level-ordered loop over jobs, each a scheme with
+      its degree: a residual at t' (when the chain took a step), or an
+      original scheme from t0 on.  A job's Euler-reduced conditions
       matrix mod ``RANK_PRIME`` (:func:`_euler_rows` of what
-      :func:`conditions_matrix_mod` builds) is a row selection from one
-      bank: the conditions matrix of all points at the largest
-      multiplicity, cast once to the elimination's dtype, so the
-      gathered stacks are eliminated without another reduction.  From
-      t0 on, C(t+2, 2) >= deg, so t >= h - 1 at every point and each
-      matrix has exactly deg rows;
-    - the schemes at degree t are ranked in stacks of at most
+      :func:`conditions_matrix_mod` builds) has exactly its deg rows,
+      since deg <= C(t+2, 2) gives t >= h - 1 at every point, selected
+      from one bank per level: the conditions matrix of all points at
+      the largest multiplicity, cast once to the elimination's dtype,
+      so the gathered stacks are eliminated without another reduction;
+    - the jobs at one level are ranked in stacks of at most
       ``_STACK_CELLS`` cells, each padded with zero rows (which leave a
-      rank alone) to its largest deg; full rank (the degree) certifies
-      h1 = 0 at t;
-    - any other scheme has its exact rank taken (:func:`hilbert_rank`,
-      by Bareiss) and moves on to t + 1 only when h1 does not vanish
-      there.
+      rank alone) to its largest deg.  Full rank certifies h1 = 0 for
+      the job: a residual's proves reg = t0 + 1, and an original's at t
+      proves reg = t + 1;
+    - a residual short of full rank decides nothing, and its original
+      joins the jobs at t0.  An original short of it at t has h1 > 0
+      proved by a conic of two bank lines (:func:`_two_line_witness`) or
+      settled by its exact rank (:func:`hilbert_rank`, by Bareiss), and
+      moves on to t + 1 only when h1 does not vanish there.
 
     Both bounds are at most the sum of multiplicities minus one, below
     the scan cap 3 + that sum; the cap is checked at every ranked degree.
-    Each (scheme, degree) is ranked mod the prime at most once.
+    Each job is ranked mod the prime at most once per degree.
     """
     points = tuple(points)
     mults = np.clip(np.asarray(mults, dtype=np.int64).reshape(-1, len(points)), 0, None)
-    count = mults.shape[0]
-    regs = np.zeros(count, dtype=np.int64)
+    regs = np.zeros(mults.shape[0], dtype=np.int64)
     deg = (mults * (mults + 1) // 2).sum(axis=1)
     if not deg.any():
         return regs
@@ -440,44 +481,70 @@ def regularities(points, mults) -> np.ndarray:
     t = np.maximum((mults @ rich.T).max(axis=1, initial=0) - 1, np.searchsorted(triangular, deg))
     live = np.nonzero(deg)[0]
 
-    proved = _residuated(rich, mults[live], t[live])
-    regs[live[proved]] = t[live[proved]] + 1
-    live = live[~proved]
-    if not live.size:
+    res, res_deg, res_t = _residual(rich, mults[live], t[live])
+    emptied = live[res_deg == 0]
+    regs[emptied] = t[emptied] + 1
+    stalled = res_deg > 0
+    stepped = stalled & (res_t < t[live])
+    if not stalled.any():
         return regs
 
-    # every remaining scheme's bank rows, scheme after scheme, point after
-    # point: the C(h+1, 2) rows of order h - 1 of each point's block, deg
-    # rows in all
-    rest = np.where(regs > 0, 0, deg)
-    hmax = int(mults[live].max())
-    owner, i = np.nonzero(mults * (rest > 0)[:, None])
-    bank_rows = _euler_rows(mults[owner, i], t[owner], i * comb(hmax + 2, 3))
-    assert bank_rows.size == rest.sum(), "the scan starts at t >= h - 1"
-    first_row = np.cumsum(rest) - rest
+    # the jobs: the residuals of the chains that took a step, then the
+    # original of every stalled scheme, held back while its residual is
+    # pending
+    residuals = int(stepped.sum())
+    owner = np.concatenate([live[stepped], live[stalled]])
+    job = np.concatenate([res[stepped], mults[live[stalled]]])
+    level_of = np.concatenate([res_t[stepped], t[live[stalled]]])
+    original_of = residuals + np.flatnonzero(stepped[stalled])
+    pending = np.ones(owner.size, dtype=bool)
+    pending[original_of] = False
+
+    # every job's bank rows, job after job, point after point: the
+    # C(h+1, 2) rows of order h - 1 of each point's block, deg rows in all
+    job_deg = (job * (job + 1) // 2).sum(axis=1)
+    hmax = int(job.max())
+    which, i = np.nonzero(job)
+    bank_rows = _euler_rows(job[which, i], level_of[which], i * comb(hmax + 2, 3))
+    assert bank_rows.size == job_deg.sum(), "every job has t >= h - 1"
+    first_row = np.cumsum(job_deg) - job_deg
     full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
     q = RANK_PRIME
 
-    while live.size:
-        level = int(t[live].min())
-        now = live[t[live] == level]
-        over = now[bound[now] < level]
+    while pending.any():
+        level = int(level_of[pending].min())
+        now = np.flatnonzero(pending & (level_of == level))
+        over = owner[now[bound[owner[now]] < level]]
         if over.size:
             raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
         bank = conditions_matrix_mod(full, level, q).astype(kernel_dtype(q))
-        per_stack = max(1, _STACK_CELLS // (int(deg[now].max()) * bank.shape[1]))
+        per_stack = max(1, _STACK_CELLS // (int(job_deg[now].max()) * bank.shape[1]))
+        certified = []
         for chunk in np.array_split(now, ceil(now.size / per_stack)):
-            span = np.arange(deg[chunk].max())
-            real = span < deg[chunk][:, None]
+            span = np.arange(job_deg[chunk].max())
+            real = span < job_deg[chunk][:, None]
             stack = bank[bank_rows[np.where(real, first_row[chunk][:, None] + span, 0)]]
             stack[~real] = 0
-            ranks = ranks_mod(stack, q)
-            for k, certified in zip(chunk.tolist(), (ranks == deg[chunk]).tolist()):
-                if certified or hilbert_rank(fat_points(points, mults[k]), level) == deg[k]:
-                    regs[k] = level + 1
-                else:
-                    t[k] += 1
-        live = live[regs[live] == 0]
+            certified.append(ranks_mod(stack, q) == job_deg[chunk])
+        certified = np.concatenate(certified)
+        pending[now] = False
+
+        residual = now < residuals
+        proved = owner[now[residual & certified]]
+        regs[proved] = t[proved] + 1
+        pending[original_of[now[residual & ~certified]]] = True
+        regs[owner[now[~residual & certified]]] = level + 1
+        short = now[~residual & ~certified]
+        witnessed = _two_line_witness(rich, job[short], level)
+        moved = short[witnessed].tolist()
+        for j in short[~witnessed].tolist():
+            k = owner[j]
+            if hilbert_rank(fat_points(points, mults[k]), level) == deg[k]:
+                regs[k] = level + 1
+            else:
+                moved.append(j)
+        level_of[moved] += 1
+        pending[moved] = True
     return regs
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -66,13 +69,13 @@ def test_bank_start_is_the_arrangement_line_bound(sweep, table, cond_a, monkeypa
     assert ((m @ rich.T).max(axis=1) - 1).tolist() == arrangement_start.tolist()
 
     starts = []
-    original = cohomology._residuated
+    original = cohomology._residual
 
-    def residuated(rich, mults, t):
+    def residual(rich, mults, t):
         starts.append(t.copy())
         return original(rich, mults, t)
 
-    monkeypatch.setattr(cohomology, "_residuated", residuated)
+    monkeypatch.setattr(cohomology, "_residual", residual)
     assert check_condition_a(sweep) == cond_a
     deg = (m * (m + 1) // 2).sum(axis=1)
     counting = np.array([next(t for t in range(99) if comb(t + 2, 2) >= d) for d in deg])
@@ -259,6 +262,23 @@ def test_certificate_json_deterministic(certificate, heart):
     assert first == second
 
 
+def test_certificate_does_not_import_numpy_ma():
+    # np.unique with no return_* flag imports numpy.ma (numpy 2.4), about
+    # 11 ms of a cold certificate; the certificate path must avoid it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from rigidsurf.arrangement import build_heart\n"
+        "from rigidsurf.certify import full_certificate\n"
+        "full_certificate(build_heart()).to_json()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_certificate_is_the_seed_certificate(heart, threads):
     # the live certificate, byte for byte, is the reference the benchmark
@@ -316,15 +336,17 @@ def test_condition_a_and_invariants_decide_no_h1_on_their_own(monkeypatch):
 
 
 def test_certificate_routes_most_first_degrees_through_residuation(heart, certificate, monkeypatch):
-    # residuation along lines proves h1 = 0 at 2,027 of the 2,400 first
-    # degrees, so the stacks mod the prime need 12 eliminations (plus the
-    # spanning check's one) in place of 57; the 23 exact fallbacks, all
-    # true deficiencies, are left alone
+    # residuation along lines empties 2,027 of the 2,400 schemes at their
+    # first degrees, and the residuals of most others are ranked in their
+    # place, so the stacks mod the prime need 8 eliminations (plus the
+    # spanning check's one) in place of 57; a conic of two bank lines
+    # proves h1 > 0 for 19 of the 23 originals the prime leaves short, and
+    # the other 4, all true deficiencies, take the exact fallback
     import rigidsurf.cohomology as cohomology
     import rigidsurf.modp as modp
 
     calls = {"_eliminate": 0, "bareiss_rank": 0}
-    proved = []
+    emptied, witnessed = [], []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -335,20 +357,26 @@ def test_certificate_routes_most_first_degrees_through_residuation(heart, certif
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def recorded(name, out, view):
+        original = getattr(cohomology, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            out.append(view(result))
+            return result
+
+        monkeypatch.setattr(cohomology, name, wrapper)
+
     counted(modp, "_eliminate")
     counted(cohomology, "bareiss_rank")
-    original = cohomology._residuated
-
-    def residuated(*args):
-        proved.append(original(*args))
-        return proved[-1]
-
-    monkeypatch.setattr(cohomology, "_residuated", residuated)
+    recorded("_residual", emptied, lambda res: int((res[1] == 0).sum()))
+    recorded("_two_line_witness", witnessed, lambda claims: int(claims.sum()))
     cert = full_certificate(heart)
     assert cert.to_json(include_timings=False) == certificate.to_json(include_timings=False)
-    assert calls["_eliminate"] == 13  # 58 before residuation
-    assert calls["bareiss_rank"] == 23
-    assert [int(p.sum()) for p in proved] == [2027]
+    assert calls["_eliminate"] == 9  # 58 before residuation, 13 before residual ranking
+    assert calls["bareiss_rank"] == 4  # 23 before the two-line witness
+    assert emptied == [2027]
+    assert sum(witnessed) == 19
 
 
 def test_build_sweep_refuses_huge_groups(heart):

@@ -14,8 +14,9 @@ from rigidsurf.cohomology import (
     _euler_rows,
     _line_bank,
     _orders,
-    _residuated,
+    _residual,
     _spanning_rows,
+    _two_line_witness,
     bareiss_rank,
     conditions_matrix,
     conditions_matrix_mod,
@@ -35,6 +36,11 @@ from rigidsurf.projective import incident, join, point
 
 def scheme(*pairs):
     return FatPointScheme(tuple((point(*c), h) for c, h in pairs))
+
+
+def _no_step(rich, mults, t):
+    """A residuation that takes no step: each scheme is its own residual."""
+    return mults, (mults * (mults + 1) // 2).sum(axis=1), t
 
 
 # --- independent oracle: symbolic differentiation + rational row reduction
@@ -166,7 +172,7 @@ def test_regularities_rank_each_degree_once_mod_the_prime(monkeypatch):
     # a scheme the stack leaves short of full rank goes straight to the
     # exact rank: one bank per scanned degree, no second rank mod the
     # prime; each scan starts at the heavier of the line bank's bound and
-    # the counting bound, and with residuation proving nothing every
+    # the counting bound, and with residuation taking no step every
     # scheme goes through the stacks from there
     import rigidsurf.cohomology as cohomology
 
@@ -193,7 +199,7 @@ def test_regularities_rank_each_degree_once_mod_the_prime(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cohomology, "RANK_PRIME", 7)
-    monkeypatch.setattr(cohomology, "_residuated", lambda rich, mults, t: np.zeros(len(mults), bool))
+    monkeypatch.setattr(cohomology, "_residual", _no_step)
     for name in calls:
         monkeypatch.setattr(cohomology, name, counted(name))
     assert regularities(FIXED_POINTS, rows).tolist() == exact
@@ -236,10 +242,10 @@ def test_regularities_split_stacks_by_the_cell_budget(monkeypatch):
     assert regularities(FIXED_POINTS, rows).tolist() == exact
     unsplit = len(shapes)
     shapes.clear()
-    monkeypatch.setattr(cohomology, "_STACK_CELLS", 1000)
+    monkeypatch.setattr(cohomology, "_STACK_CELLS", 100)
     assert regularities(FIXED_POINTS, rows).tolist() == exact
     assert len(shapes) > unsplit
-    assert all(b == 1 or b * r * c <= 1000 for b, r, c in shapes)
+    assert all(b == 1 or b * r * c <= 100 for b, r, c in shapes)
     assert any(b > 1 for b, _, _ in shapes)
 
 
@@ -287,22 +293,31 @@ def test_conditions_matrix_matches_symbolic_rows(pairs, t):
 
 
 def test_bundled_sweep_falls_back_only_on_true_deficiencies(sweep, cond_a, monkeypatch):
-    # the stacks mod RANK_PRIME leave 23 schemes short of full rank, and
-    # the full conditions matrix of each is short over Q as well: the
-    # int32-sized prime adds no fallback a larger prime would have avoided
+    # the stacks mod RANK_PRIME leave 23 original schemes short of full
+    # rank, and the full conditions matrix of each is short over Q as
+    # well: the int32-sized prime adds no fallback a larger prime would
+    # have avoided.  A conic of two bank lines proves h1 > 0 for 19 of
+    # them, each confirmed here by Bareiss, and only 4 reach the exact rank
     import rigidsurf.cohomology as cohomology
     from rigidsurf.certify import check_condition_a
 
-    fallbacks = []
+    fallbacks, witnessed = [], []
+    witness = cohomology._two_line_witness
 
     def recorded(fat, t):
         fallbacks.append((fat, t))
         return hilbert_rank(fat, t)
 
+    def recorded_witness(lines, mults, t):
+        claims = witness(lines, mults, t)
+        witnessed.extend((fat_points(sweep.table.points, row), t) for row in mults[claims])
+        return claims
+
     monkeypatch.setattr(cohomology, "hilbert_rank", recorded)
+    monkeypatch.setattr(cohomology, "_two_line_witness", recorded_witness)
     assert check_condition_a(sweep) == cond_a
-    assert len(fallbacks) == 23
-    for fat, t in fallbacks:
+    assert (len(fallbacks), len(witnessed)) == (4, 19)
+    for fat, t in fallbacks + witnessed:
         assert bareiss_rank(conditions_matrix(fat, t)) < fat.degree
 
 
@@ -311,7 +326,7 @@ def test_regularities_cap_the_scan(monkeypatch):
     # only ranks that never certify h1 = 0 can carry a scan past it
     import rigidsurf.cohomology as cohomology
 
-    monkeypatch.setattr(cohomology, "_residuated", lambda rich, mults, t: np.zeros(len(mults), bool))
+    monkeypatch.setattr(cohomology, "_residual", _no_step)
     monkeypatch.setattr(cohomology, "ranks_mod", lambda stack, q: np.zeros(len(stack), np.int64))
     monkeypatch.setattr(cohomology, "hilbert_rank", lambda fat, t: 0)
     with pytest.raises(ArithmeticError, match="exceeded bound 4"):
@@ -449,11 +464,28 @@ def residuation_cases(draw):
 
 
 def _false_proofs(case):
-    """The rows a chain of line residuations proves h1 = 0 for, wrongly."""
+    """The rows a chain of line residuations empties, though h1 > 0 for them."""
     points, rows, degrees = case
-    proved = _residuated(_line_bank(points), np.array(rows), np.array(degrees))
+    _, res_deg, _ = _residual(_line_bank(points), np.array(rows), np.array(degrees))
     schemes = [fat_points(points, row) for row in rows]
-    return [(fat, t) for fat, t, ok in zip(schemes, degrees, proved) if ok and hilbert_rank(fat, t) < fat.degree]
+    return [(fat, t) for fat, t, d in zip(schemes, degrees, res_deg) if d == 0 and hilbert_rank(fat, t) < fat.degree]
+
+
+def _false_residual_proofs(case, nonempty=False):
+    """The rows whose residual has h1 = 0 in its degree, though h1 > 0 for
+    the original in its own; with ``nonempty``, only nonempty residuals.
+    Asserts on the way that a residual past the counting bound is its
+    untouched original."""
+    points, rows, degrees = case
+    res, res_deg, res_t = _residual(_line_bank(points), np.array(rows), np.array(degrees))
+    wrong = []
+    for row, t, h, d, t_ in zip(rows, degrees, res, res_deg, res_t.tolist()):
+        fat = fat_points(points, row)
+        assert d <= comb(t_ + 2, 2) or (t_ == t and d == fat.degree)
+        if (d or not nonempty) and hilbert_rank(fat_points(points, h), max(t_, 0)) == d:
+            if hilbert_rank(fat, t) < fat.degree:
+                wrong.append((fat, t))
+    return wrong
 
 
 @settings(max_examples=100, deadline=None)
@@ -480,6 +512,91 @@ def test_residuation_property_catches_a_loosened_rule(monkeypatch):
         ),
     )
     assert _false_proofs(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residuation_cases())
+@example(([point(1, k, 1) for k in range(5)] + [point(2, 3, 5)], [[2, 1, 1, 2, 1, 3]], [5]))
+def test_residual_ranks_agree_with_the_exact_rank(case):
+    # every h1 = 0 concluded from a full-rank residual holds for the exact
+    # rank of the original, and every residual keeps deg' <= C(t' + 2, 2)
+    assert _false_residual_proofs(case) == []
+
+
+def test_residual_rank_property_catches_a_loosened_rule(monkeypatch):
+    # the s_L <= t + 2 mutant also leaves a nonempty residual of full rank
+    # whose original is short of it
+    import rigidsurf.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "_fits", lambda s, t: (s > 0) & (s <= t + 2))
+    case = find(
+        residuation_cases(),
+        lambda c: bool(_false_residual_proofs(c, nonempty=True)),
+        settings=settings(
+            max_examples=500, deadline=None, database=None, derandomize=True, phases=[Phase.generate]
+        ),
+    )
+    assert _false_residual_proofs(case, nonempty=True)
+
+
+@st.composite
+def two_line_cases(draw):
+    """Points on two lines through a node, the node included, and up to two
+    anywhere; a multiplicity row on them; and the incidences of the lines."""
+    node, b, c = draw(triples), draw(triples), draw(triples)
+    assume(len({point(node), point(b), point(c)}) == 3)
+    first, second = join(point(node), point(b)), join(point(node), point(c))
+    assume(first != second)
+    pairs = st.tuples(small, small).filter(lambda v: v != (0, 0))
+    coords = [node]
+    for end in (b, c):
+        coords += [tuple(s_ * x + u * y for x, y in zip(node, end)) for s_, u in draw(st.lists(pairs, max_size=3))]
+    coords += draw(st.lists(triples, max_size=2))
+    points = list(dict.fromkeys(point(v) for v in coords))
+    row = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+    lines = np.array([[incident(p, ell) for p in points] for ell in (first, second)])
+    return points, row, lines
+
+
+def _false_witnesses(case):
+    """The highest degree a two-line witness claims h1 > 0 in, if h1 = 0 there."""
+    points, row, lines = case
+    claimed = [t for t in range(sum(row)) if _two_line_witness(lines, np.array([row]), t)[0]]
+    if not claimed:
+        return []
+    fat = fat_points(points, row)
+    return [(fat, claimed[-1])] if hilbert_rank(fat, claimed[-1]) == fat.degree else []
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_line_cases())
+@example(([point(1, 0, 0), point(1, 1, 0), point(0, 1, 0), point(0, 0, 1), point(1, 0, 1)],
+          [2, 2, 2, 2, 1], np.array([[1, 1, 1, 0, 0], [1, 0, 0, 1, 1]], bool)))
+def test_two_line_witness_agrees_with_the_exact_rank(case):
+    # h1 > 0 decreases downward, so checking the highest claimed degree
+    # checks every claim
+    assert _false_witnesses(case) == []
+
+
+def test_two_line_property_catches_a_doubled_node(monkeypatch):
+    # counting a fat point at the node as 2h, not 2h - 1, claims h1 > 0
+    # where it vanishes
+    import rigidsurf.cohomology as cohomology
+
+    def doubled_node(lines, mults):
+        a, b = np.triu_indices(len(lines), 1)
+        on = mults @ lines.T
+        return on[:, a] + on[:, b]
+
+    monkeypatch.setattr(cohomology, "_conic_lengths", doubled_node)
+    case = find(
+        two_line_cases(),
+        lambda c: bool(_false_witnesses(c)),
+        settings=settings(
+            max_examples=500, deadline=None, database=None, derandomize=True, phases=[Phase.generate]
+        ),
+    )
+    assert _false_witnesses(case)
 
 
 def test_line_bank_lines_are_exact_joins():
