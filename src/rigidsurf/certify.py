@@ -19,6 +19,7 @@ regularity it returns.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -31,10 +32,11 @@ import numpy as np
 
 from . import __version__
 from .arrangement import HeartData, IncidenceTable, check_structure, singular_points
+from .arrangement import incidence_sums, intersection_points
 from .cohomology import fat_points, h0_h1, regularities
 # unused here; perfbench's self-test reads certify.h1_is_zero, so the name stays
 from .cohomology import h1_is_zero
-from .cover import LabelMap, complete_labels, validate_labels
+from .cover import LabelMap, label_map, validate_labels
 from .incidence import certify_double_point
 from .picard import branch_class, canonical_class, intersect
 
@@ -58,6 +60,15 @@ class SweepData:
     inc: np.ndarray         # m x n incidence matrix
     k_points_on_line: np.ndarray
 
+    @functools.cached_property
+    def e_on_lines(self) -> np.ndarray:
+        """p^r x n: ``e_floor`` summed over the points on each line.
+
+        Conditions (b) and (c) share it; it is built on first use, after
+        condition (a), so the regularity scan does not hold it.
+        """
+        return incidence_sums(self.e_floor, self.inc.T)
+
 
 # build_sweep holds p^r x (r + n + 2m) int64 cells: the characters, the
 # line pairings, the E-pairings and the multiplicities.  The bundled
@@ -68,8 +79,9 @@ MAX_SWEEP_CELLS = 2**24
 def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
     """The lattice data of all p^r characters, in lexicographic order.
 
-    Raises ``ValueError`` before allocating anything when the sweep
-    arrays would exceed ``MAX_SWEEP_CELLS`` cells.
+    ``e_floor`` sums the line pairings over the lines through each point
+    with :func:`incidence_sums`.  Raises ``ValueError`` before allocating
+    anything when the sweep arrays would exceed ``MAX_SWEEP_CELLS`` cells.
     """
     p, r = labels.p, labels.r
     cells = p**r * (r + len(table.arrangement.lines) + 2 * table.num_points)
@@ -86,7 +98,7 @@ def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
     if (total % p).any():
         raise ArithmeticError("line labels violate divisibility")
     c_chi = total // p
-    e_floor = (pair_lines @ inc.T) // p
+    e_floor = incidence_sums(pair_lines, inc) // p
     return SweepData(
         labels=labels,
         table=table,
@@ -181,7 +193,7 @@ def check_condition_b(sweep: SweepData) -> ConditionBResult:
     is automatically negative.  ``exceptional_cross_check_ok`` recomputes
     them anyway as a cross-check of that justification.
     """
-    d_dot_l = sweep.c_chi[:, None] - sweep.e_floor @ sweep.inc
+    d_dot_l = sweep.c_chi[:, None] - sweep.e_on_lines
     self_int = 1 - sweep.k_points_on_line
     values = self_int[None, :] - d_dot_l
     sub = values[1:]
@@ -213,7 +225,7 @@ def admissible(sweep: SweepData) -> np.ndarray:
     negative on its strict transform.
     """
     p = sweep.labels.p
-    h_minus_l_dot_d = (1 - sweep.c_chi)[:, None] + sweep.e_floor @ sweep.inc
+    h_minus_l_dot_d = (1 - sweep.c_chi)[:, None] + sweep.e_on_lines
     return (sweep.pair_lines != p - 1) & (h_minus_l_dot_d < 0)
 
 
@@ -225,7 +237,7 @@ def check_condition_c(sweep: SweepData) -> ConditionCResult:
     pairing of the character class with the exceptional divisor; the
     bound only binds when that pairing is 0 or 1.
     """
-    counts = admissible(sweep).astype(np.int64) @ sweep.inc.T
+    counts = incidence_sums(admissible(sweep), sweep.inc)
     need = 2 - sweep.e_floor
     slack = (counts - need)[1:]
     min_slack = int(slack.min())
@@ -428,12 +440,17 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     the invariants; the overall verdict passes only if every section
     does.  The character sections are skipped, and recorded so, when
     the incidence or the building data fails.
+
+    Without ``labels`` the heart's line labels are taken as given, with
+    the exceptional labels they force, so a damaged label table fails
+    divisibility in the building data section, which names the unit
+    characters.  The arrangement's crossing map is computed once, here,
+    for the singular points and the incidence section.
     """
-    table = singular_points(heart.arrangement)
+    crossings = intersection_points(heart.arrangement.lines)
+    table = singular_points(heart.arrangement, crossings)
     if labels is None:
-        labels = complete_labels(heart.line_labels[:-1], table, heart.p, heart.r)
-        if labels.line_labels != heart.line_labels:
-            raise ArithmeticError("bundled labels fail the completion recomputation")
+        labels = label_map(heart.line_labels, table, heart.p, heart.r)
     timings: dict = {}
     sections: dict = {
         "inputs": {
@@ -448,8 +465,8 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     }
 
     t0 = time.perf_counter()
-    structure = check_structure(heart)
-    dp = certify_double_point(heart.arrangement, heart.pqr)
+    structure = check_structure(heart, crossings)
+    dp = certify_double_point(heart.arrangement, heart.pqr, crossings)
     timings["incidence"] = time.perf_counter() - t0
     sections["incidence"] = {
         "verdict": bool(dp.ok and structure.all_ok),
@@ -461,6 +478,8 @@ def full_certificate(heart: HeartData, threads: int = 1, labels: LabelMap | None
     validation = validate_labels(labels, table)
     timings["building_data"] = time.perf_counter() - t0
     sections["building_data"] = {"verdict": validation.all_ok, **validation.to_jsonable()}
+    if validation.details:
+        sections["building_data"]["failures"] = validation.details
 
     t0 = time.perf_counter()
     ample = check_ample(labels.p, table)

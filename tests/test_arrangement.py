@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rigidsurf.arrangement import (
     Arrangement,
@@ -16,11 +18,13 @@ from rigidsurf.arrangement import (
     format_label_table,
     heart_tsv_roundtrip,
     height_report,
+    incidence_sums,
     intersection_points,
     parse_label_table,
     singular_points,
+    sub_crossings,
 )
-from rigidsurf.projective import height, join, line, point
+from rigidsurf.projective import height, join, line, meet, point
 
 
 def test_closure_counts_from_base_points():
@@ -210,3 +214,67 @@ def test_label_table_roundtrip(heart):
 def test_duplicate_lines_rejected():
     with pytest.raises(ValueError):
         Arrangement((line(1, 0, 0), line(2, 0, 0)))
+
+
+CLOSURE_3 = Arrangement(closure(BASE_POINTS, 3)[-1].lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bundled=st.booleans(), data=st.data())
+def test_sub_crossings_are_the_crossings_of_the_subset(heart, bundled, data):
+    # a point is a crossing of a sub-arrangement exactly when two of its
+    # lines lie in it; the view renumbers them by position in the subset
+    arr = heart.arrangement if bundled else CLOSURE_3
+    size = data.draw(st.sampled_from([0, 1, 2, 3, len(arr) // 2, len(arr)]))
+    subset = data.draw(st.permutations(range(len(arr))))[:size]
+    assert sub_crossings(intersection_points(arr.lines), subset) == intersection_points(
+        arr.lines[i] for i in subset
+    )
+
+
+def test_sub_crossings_of_fewer_than_two_lines_are_empty(heart):
+    crossings = intersection_points(heart.arrangement.lines)
+    assert sub_crossings(crossings, []) == {} == sub_crossings(crossings, [5])
+    lines = heart.arrangement.lines
+    assert sub_crossings(crossings, [7, 2]) == {meet(lines[7], lines[2]): {0, 1}}
+
+
+@st.composite
+def incidence_cases(draw):
+    """0/1 sets with an empty row and an empty column, and signed values."""
+    n = draw(st.integers(0, 9))
+    members = draw(arrays(np.bool_, (draw(st.integers(0, 7)), n)))
+    members = np.pad(members, ((0, 1), (0, 1)))
+    scale = draw(st.sampled_from([1, 7, 2**12, 2**20, 2**40]))
+    values = draw(arrays(np.int64, (draw(st.integers(0, 6)), n + 1), elements=st.integers(-scale, scale)))
+    return values, members
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidence_cases())
+def test_incidence_sums_equal_the_int64_product(case):
+    values, members = case
+    sums = incidence_sums(values, members)
+    assert sums.dtype == np.int64 and sums.flags.c_contiguous
+    assert np.array_equal(sums, values @ members.astype(np.int64).T)
+    assert np.array_equal(incidence_sums(values > 0, members), (values > 0).astype(np.int64) @ members.T)
+
+
+def test_incidence_sums_on_the_bundled_incidences(table, sweep):
+    from rigidsurf.certify import admissible
+    from rigidsurf.cohomology import _line_bank
+
+    inc = table.incidence
+    rich = _line_bank(table.points)
+    assert rich.shape == (45, 51)
+    mults = np.clip(sweep.h_mult, 0, None)
+    for values, members in [
+        (sweep.pair_lines, inc),
+        (sweep.e_floor, inc.T),
+        (sweep.h_mult, inc.T),
+        (admissible(sweep), inc),
+        (mults, rich),
+        (mults > 0, rich),
+    ]:
+        dense = np.asarray(values).astype(np.int64) @ np.asarray(members).astype(np.int64).T
+        assert np.array_equal(incidence_sums(values, members), dense)

@@ -379,6 +379,43 @@ def test_certificate_routes_most_first_degrees_through_residuation(heart, certif
     assert sum(witnessed) == 19
 
 
+def test_certificate_builds_each_constant_once(heart, certificate, monkeypatch):
+    # one crossing map of the 34 lines serves the singular points, the
+    # structure checks and the incidence problem (5 computations before),
+    # and each conditions matrix reads its rows from one order table of
+    # its largest multiplicity, not from a per-point tuple index
+    import rigidsurf.cohomology as cohomology
+
+    calls = {"intersection_points": 0, "_conditions": 0}
+    tables = []
+    original = sys.modules["rigidsurf.arrangement"].intersection_points
+
+    def crossing_map(*args):
+        calls["intersection_points"] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rigidsurf") and getattr(module, "intersection_points", None) is original:
+            monkeypatch.setattr(module, "intersection_points", crossing_map)
+
+    def wrap(name, record):
+        inner = getattr(cohomology, name)
+
+        def wrapper(*args):
+            record(args)
+            return inner(*args)
+
+        monkeypatch.setattr(cohomology, name, wrapper)
+
+    wrap("_orders", tables.append)
+    wrap("_conditions", lambda args: calls.__setitem__("_conditions", calls["_conditions"] + 1))
+    cert = full_certificate(heart)
+    assert cert.to_json(include_timings=False) == certificate.to_json(include_timings=False)
+    assert calls["intersection_points"] == 1
+    assert calls["_conditions"] == 12  # 8 stack banks and 4 Bareiss fallbacks
+    assert len(tables) == 12
+
+
 def test_build_sweep_refuses_huge_groups(heart):
     # (Z/101)^5 labels pass validation, but the sweep would hold
     # 101^5 x 141 int64 cells; the refusal comes before any allocation

@@ -250,3 +250,44 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert svg.startswith("<svg")
     assert svg.count("<line") == 34
     assert svg.count("<circle") == 51
+
+
+@pytest.mark.parametrize("row", [5, 34])
+def test_certify_fails_building_data_on_a_damaged_label_table(tmp_path, row):
+    # one label entry of the bundled table changed: the labels no longer
+    # sum to zero, so divisibility fails for the first unit character, the
+    # sweep is skipped, and the certificate is printed with exit status 1
+    import shutil
+    from importlib import resources
+
+    data = resources.files("rigidsurf.data")
+    for name in ("table1.tsv", "heart.json"):
+        shutil.copyfile(data.joinpath(name), tmp_path / name)
+    table = tmp_path / "table1.tsv"
+    rows = table.read_text().split("\n")
+    cells = rows[row].split("\t")
+    assert cells[0] == str(row)
+    cells[4] = str((int(cells[4]) + 1) % 7)
+    rows[row] = "\t".join(cells)
+    table.write_text("\n".join(rows))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "RIGIDSURF_DATA": str(tmp_path),
+    }
+    done = subprocess.run(
+        [sys.executable, "-m", "rigidsurf.cli", "certify"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    cert = json.loads(done.stdout)
+    building = cert["building_data"]
+    assert building["verdict"] is False and building["divisibility"] is False
+    assert building["failures"]["divisibility_failures"] == [[1, 0, 0, 0]]
+    assert cert["incidence"]["verdict"] is True
+    for name in ("condition_a", "condition_b", "condition_c", "invariants"):
+        assert cert[name] == {"skipped": "building_data failed"}
+    assert cert["overall"]["pass"] is False

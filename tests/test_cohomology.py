@@ -614,6 +614,22 @@ def test_line_bank_lines_are_exact_joins():
             assert row.tolist() == [incident(p, ell) for p in pts]
 
 
+@pytest.mark.parametrize("stage", ["bundled", "closure-3"])
+def test_line_bank_keeps_one_row_per_line_in_row_order(table, stage):
+    # the distinct incidence rows of the joins through at least four
+    # points, in the lexicographic row order of np.unique(axis=0); the 97
+    # points of closure stage 3 pack into more than eight bytes a row
+    from rigidsurf.arrangement import BASE_POINTS, closure
+
+    points = table.points if stage == "bundled" else closure(BASE_POINTS, 3)[-1].points
+    xyz = np.array([p.coords for p in points])
+    a, b = np.triu_indices(len(xyz), 1)
+    on = (np.cross(xyz[a], xyz[b]) @ xyz.T) == 0
+    reference = np.unique(on[on.sum(axis=1) >= 4], axis=0)
+    assert np.array_equal(_line_bank(points), reference)
+    assert len(reference) == {"bundled": 45, "closure-3": 169}[stage]
+
+
 def _random_signed_scheme(rng, max_points=4, max_mult=3):
     pts = set()
     while len(pts) < rng.randint(1, max_points):

@@ -12,7 +12,7 @@ from rigidsurf.incidence import (
     from_arrangement,
     match_triangle,
 )
-from rigidsurf.projective import join, line, meet, point
+from rigidsurf.projective import incident, join, line, meet, point
 from rigidsurf.triangle import solve_realization
 
 
@@ -34,6 +34,39 @@ def test_from_arrangement_satisfies_relations(heart):
     assert len(prob.variable_lines) == 34
     # slots: every singular point and every crossing of the 31 kept lines
     assert len(prob.variable_points) == 217
+
+
+def _incident_relations(arr, prob):
+    """Relations by testing every slot point against every line."""
+    slots = {**prob.fixed_points, **{v: prob.realization[v] for v in prob.variable_points}}
+    return tuple(
+        (name, f"L{i + 1}") for name, p in slots.items() for i, l in enumerate(arr.lines) if incident(p, l)
+    )
+
+
+def test_from_arrangement_relations_are_the_incidences(heart):
+    # relations come from the crossing map, and from an incidence test for
+    # extra points that are no crossing: one on a single line, one on none
+    arr = heart.arrangement
+    crossings = intersection_points(arr.lines)
+    on_one = next(
+        p for k in range(1, 50) if (p := meet(arr.lines[0], line(1, k, 7919))) not in crossings
+    )
+    off = point(3, 5, 7919)
+    assert not any(incident(off, l) for l in arr.lines)
+    problems = [
+        (arr, from_arrangement(arr)),
+        (arr, certify_problem(heart)),
+        (arr, from_arrangement(arr, extra_points=(on_one, off), crossings=crossings)),
+    ]
+    closure_3 = Arrangement(closure(BASE_POINTS, 3)[-1].lines)
+    problems.append((closure_3, from_arrangement(closure_3)))
+    for a, prob in problems:
+        assert prob.relations == _incident_relations(a, prob)
+    extra = problems[2][1]
+    names = {extra.realization[v]: v for v in extra.variable_points}
+    assert [sum(p == names[q] for p, _ in extra.relations) for q in (on_one, off)] == [1, 0]
+    assert from_arrangement(arr, crossings=crossings) == from_arrangement(arr)
 
 
 def test_single_line_through_two_fixed_points_eliminates():
