@@ -168,6 +168,38 @@ def singular_points(arr: Arrangement, crossings=None) -> IncidenceTable:
     return IncidenceTable(arr, tuple(sing), mu, lines_through, points_on)
 
 
+def gather_index(incidence) -> np.ndarray:
+    """The members of each row of a 0/1 ``incidence``, for :func:`gather_sums`.
+
+    Row j lists the columns in row j of ``incidence``, padded to the
+    widest row with the column count n, which names a zero row.
+    """
+    members = np.asarray(incidence).astype(bool)
+    rows, n = members.shape
+    size = members.sum(axis=1)
+    cols = np.full((rows, int(size.max(initial=0))), n)
+    k, j = np.nonzero(members)
+    cols[k, np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)] = j
+    return cols
+
+
+def gather_sums(values, index) -> np.ndarray:
+    """:func:`incidence_sums` over an incidence given by its :func:`gather_index`.
+
+    ``values`` has one column per column of the incidence.
+    """
+    values = np.asarray(values)
+    width = index.shape[1]
+    bound = width * max(abs(int(values.max(initial=0))), abs(int(values.min(initial=0))))
+    dtype = next((d for d in (np.int16, np.int32) if bound <= np.iinfo(d).max), np.int64)
+    padded = np.zeros((values.shape[1] + 1, values.shape[0]), dtype=dtype)
+    padded[:-1] = values.T
+    out = np.zeros((index.shape[0], values.shape[0]), dtype=dtype)
+    for c in range(width):
+        out += padded[index[:, c]]
+    return out.T.astype(np.int64, order="C")
+
+
 def incidence_sums(values, incidence) -> np.ndarray:
     """``values @ incidence.T`` for a 0/1 ``incidence``, exactly, as C-ordered int64.
 
@@ -177,25 +209,11 @@ def incidence_sums(values, incidence) -> np.ndarray:
     added in the narrowest of int16, int32 and int64 that holds w times
     the largest absolute value.  On 2 cores this was 5-10 times faster
     than numpy's int64 matmul, which has no BLAS, on the sweep's
-    products; float BLAS, threaded by default, was slower still.
+    products; float BLAS, threaded by default, was slower still.  A
+    caller that sums over one incidence many times builds its
+    :func:`gather_index` once and calls :func:`gather_sums`.
     """
-    values = np.asarray(values)
-    members = np.asarray(incidence).astype(bool)
-    rows, n = members.shape
-    size = members.sum(axis=1)
-    width = int(size.max(initial=0))
-    bound = width * max(abs(int(values.max(initial=0))), abs(int(values.min(initial=0))))
-    dtype = next((d for d in (np.int16, np.int32) if bound <= np.iinfo(d).max), np.int64)
-    padded = np.zeros((n + 1, values.shape[0]), dtype=dtype)
-    padded[:n] = values.T
-    # column c holds the c-th member of each row, or the zero row n
-    cols = np.full((rows, width), n)
-    k, j = np.nonzero(members)
-    cols[k, np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)] = j
-    out = np.zeros((rows, values.shape[0]), dtype=dtype)
-    for c in range(width):
-        out += padded[cols[:, c]]
-    return out.T.astype(np.int64, order="C")
+    return gather_sums(values, gather_index(incidence))
 
 
 def double_points(arr: Arrangement) -> tuple[ProjectivePoint, ...]:
@@ -240,11 +258,12 @@ def _read_data_text(name: str) -> str:
     return resources.files("rigidsurf.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def parse_label_table(text: str):
+def parse_label_table(text: str, p: int | None = None, r: int | None = None):
     """Parse a TSV of ``index, dual coordinates, label tuple`` rows.
 
     Raises ValueError naming the first data row that is not an index,
-    a nonzero line and integer labels.
+    a nonzero line and integer labels; given ``p`` and ``r``, also the
+    first whose label is not r entries in 0..p-1.
     """
     lines_out: list[ProjectiveLine] = []
     labels: list[tuple[int, ...]] = []
@@ -260,9 +279,14 @@ def parse_label_table(text: str):
             if len(values) < 4:
                 raise ValueError(f"{len(values)} cells, expected an index and three line coordinates")
             lines_out.append(line(values[1:4]))
+            label = tuple(values[4:])
+            if r is not None and len(label) != r:
+                raise ValueError(f"label {label} of line {values[0]} has {len(label)} entries, expected {r}")
+            if p is not None and any(not 0 <= x < p for x in label):
+                raise ValueError(f"label {label} of line {values[0]} has an entry outside 0..{p - 1}")
         except ValueError as exc:
             raise ValueError(f"row {number}: {exc}") from None
-        labels.append(tuple(values[4:]))
+        labels.append(label)
     return lines_out, labels
 
 
@@ -275,8 +299,12 @@ def format_label_table(lines_seq, labels) -> str:
     return "\n".join(rows) + "\n"
 
 
-def load_heart_table():
-    return parse_label_table(_read_data_text("table1.tsv"))
+def load_heart_table(p: int | None = None, r: int | None = None):
+    """Lines and labels of the data's ``table1.tsv`` (see :func:`parse_label_table`)."""
+    try:
+        return parse_label_table(_read_data_text("table1.tsv"), p, r)
+    except ValueError as exc:
+        raise ValueError(f"table1.tsv {exc}") from None
 
 
 def load_heart_construction() -> dict:
@@ -293,8 +321,8 @@ def build_heart() -> HeartData:
     """
     from .triangle import solve_realization  # deferred: triangle imports us
 
-    table_lines, labels = load_heart_table()
     cons = load_heart_construction()
+    table_lines, labels = load_heart_table(cons["p"], cons["r"])
     iters = cons["closure_iterations"]
     stages = closure(BASE_POINTS, iters)
     closure_lines = set(stages[-1].lines)
@@ -489,6 +517,8 @@ __all__ = [
     "closure",
     "double_points",
     "format_label_table",
+    "gather_index",
+    "gather_sums",
     "height_report",
     "incidence_sums",
     "intersection_points",

@@ -45,6 +45,14 @@ def _parse_point(text: str):
         raise InputError(f"{text!r} is not a point: {exc}") from exc
 
 
+def _heart():
+    """The bundled configuration; a malformed data table is an input error."""
+    try:
+        return arrmod.build_heart()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -56,7 +64,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _load_arrangement(path: str | None):
     """Arrangement and designated points from --in, or the bundled data."""
     if path is None:
-        heart = arrmod.build_heart()
+        heart = _heart()
         return heart.arrangement, heart.pqr, heart
     try:
         with open(path, encoding="utf-8") as fh:
@@ -95,7 +103,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_heart(args) -> int:
-    heart = arrmod.build_heart()
+    heart = _heart()
     report = arrmod.check_structure(heart)
     table = arrmod.singular_points(heart.arrangement)
     payload = {
@@ -212,7 +220,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cert = certmod.full_certificate(arrmod.build_heart(), threads=args.threads)
+    cert = certmod.full_certificate(_heart(), threads=args.threads)
     text = cert.to_json()
     if args.out:
         _write_output(text, args.out)
@@ -223,7 +231,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    cert = certmod.full_certificate(arrmod.build_heart(), threads=args.threads)
+    cert = certmod.full_certificate(_heart(), threads=args.threads)
     _emit(cert.sections["invariants"], args)
     return 0 if cert.ok else 1
 

@@ -36,7 +36,7 @@ from math import ceil, comb
 
 import numpy as np
 
-from .arrangement import IncidenceTable, incidence_sums
+from .arrangement import IncidenceTable, gather_index, gather_sums, incidence_sums
 from .cover import LabelMap, chi_class
 from .modp import kernel_dtype, rank_mod, ranks_mod
 from .picard import canonical_class
@@ -414,22 +414,28 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h.astype(np.int64), deg, t.astype(np.int64)
 
 
-def _conic_lengths(lines, mults) -> np.ndarray:
-    """Length of each scheme on each conic L1 + L2 of two ``lines`` (schemes x pairs).
+def _conic_index(lines) -> tuple[np.ndarray, ...]:
+    """The pairs a < b of ``lines``, the lines' :func:`gather_index` and the nodes'."""
+    a, b = np.triu_indices(len(lines), 1)
+    return a, b, gather_index(lines), gather_index(lines[a] & lines[b])
+
+
+def _conic_lengths(conics, mults) -> np.ndarray:
+    """Length of each scheme on each conic L1 + L2 of two lines (schemes x pairs).
 
     Off the node a fat point hP meets L1 + L2 in its line's length h; at
     the node it has length 2h - 1 (the monomials of degree < h that xy
     does not divide), so the length is s1 + s2, less one when the node is
-    a point of the scheme.
+    a point of the scheme.  ``conics`` is the :func:`_conic_index` of the
+    lines.
     """
-    a, b = np.triu_indices(len(lines), 1)
-    on = incidence_sums(mults, lines)
-    nodes = incidence_sums(mults > 0, lines[a] & lines[b])
-    return on[:, a] + on[:, b] - nodes
+    a, b, members, nodes = conics
+    on = gather_sums(mults, members)
+    return on[:, a] + on[:, b] - gather_sums(mults > 0, nodes)
 
 
-def _two_line_witness(lines, mults, t) -> np.ndarray:
-    """Which schemes a conic of two ``lines`` proves to have h1 > 0 in degree t >= 0.
+def _two_line_witness(conics, mults, t) -> np.ndarray:
+    """Which schemes a conic of two lines proves to have h1 > 0 in degree t >= 0.
 
     The residual sequence of a conic C,
     0 -> I_{Res_C Z}(t - 2) -> I_Z(t) -> I_{Z∩C, C}(t) -> 0, has
@@ -437,7 +443,7 @@ def _two_line_witness(lines, mults, t) -> np.ndarray:
     = s - 2t - 1 for Z∩C of length s (:func:`_conic_lengths`); a length
     s >= 2t + 2 proves h1 > 0.
     """
-    return (_conic_lengths(lines, mults) >= 2 * t + 2).any(axis=1)
+    return (_conic_lengths(conics, mults) >= 2 * t + 2).any(axis=1)
 
 
 def regularities(points, mults) -> np.ndarray:
@@ -472,7 +478,8 @@ def regularities(points, mults) -> np.ndarray:
       proves reg = t + 1;
     - a residual short of full rank decides nothing, and its original
       joins the jobs at t0.  An original short of it at t has h1 > 0
-      proved by a conic of two bank lines (:func:`_two_line_witness`) or
+      proved by a conic of two bank lines (:func:`_two_line_witness`,
+      whose line pairs and node index are built once per call) or
       settled by its exact rank (:func:`hilbert_rank`, by Bareiss), and
       moves on to t + 1 only when h1 does not vanish there.
 
@@ -522,6 +529,7 @@ def regularities(points, mults) -> np.ndarray:
     first_row = np.cumsum(job_deg) - job_deg
     full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
     q = RANK_PRIME
+    conics = None  # built at the first level with a short original
 
     while pending.any():
         level = int(level_of[pending].min())
@@ -549,7 +557,9 @@ def regularities(points, mults) -> np.ndarray:
         short = now[~residual & ~certified]
         if not short.size:
             continue
-        witnessed = _two_line_witness(rich, job[short], level)
+        if conics is None:
+            conics = _conic_index(rich)
+        witnessed = _two_line_witness(conics, job[short], level)
         moved = short[witnessed].tolist()
         for j in short[~witnessed].tolist():
             k = owner[j]

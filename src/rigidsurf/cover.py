@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -96,10 +97,17 @@ def class_keys(labels: np.ndarray, p: int) -> np.ndarray:
 def distinct_nonzero(keys: np.ndarray) -> np.ndarray:
     """Per row of class keys: no zero label and no two labels in one class.
 
-    An empty row has neither.
+    An empty row has neither.  The sorted rows are compared as one flat
+    run, keeping the neighbours within a row, which is faster than a
+    comparison reduced row by row.
     """
-    keys = np.sort(keys, axis=-1)
-    return (keys.min(axis=-1, initial=0) >= 0) & (np.diff(keys, axis=-1) != 0).all(axis=-1)
+    width = keys.shape[-1]
+    rows = np.sort(keys, axis=-1).reshape(prod(keys.shape[:-1]), width)
+    ok = (rows[:, :1] >= 0).all(axis=1)
+    run = rows.ravel()
+    repeat = np.flatnonzero(run[1:] == run[:-1])
+    ok[repeat[(repeat + 1) % width != 0] // width] = False
+    return ok.reshape(keys.shape[:-1])
 
 
 def complete_labels(partial, table: IncidenceTable, p: int, r: int) -> LabelMap:
@@ -251,12 +259,18 @@ def chi_class(labels: LabelMap, table: IncidenceTable, chi: Vector) -> DivisorCl
 
 MAX_SEARCH_ATTEMPTS = 1_000_000
 
+# Labels drawn per call by random_label_search.  A (Z/7)^5 search on the
+# bundled table reads about 80 labels, a (Z/7)^4 search about 130,000.
+LABEL_CHUNK = 1_024
+
 # Attempts drawn per block by empirical_acceptance.  On 2 cores (Python
-# 3.11.7, numpy 2.4.6), with staged rejection, 50,000 attempts in (Z/7)^4
-# took a median 0.297 s with blocks of 2,000, 0.294 s with 5,000 (inside
-# the run-to-run noise), 0.305 s with 10,000, 0.310 s with 1,000 and
-# 0.323 s with 500; the tracemalloc peak of 100,000 attempts grows with
-# the block: 2.3 MiB at 2,000, 5.5 MiB at 5,000, 10.9 MiB at 10,000.
+# 3.11.7, numpy 2.4.6), 50,000 attempts in (Z/7)^4 took a median 181 ms
+# with blocks of 1,000, 165 ms with 2,000, 152 ms with 5,000 and 150 ms
+# with 10,000 (in process, 9 alternating calls each); in fresh processes
+# after the search benchmark's label searches, 2,000 and 5,000 took 146
+# and 136 ms (8 alternating processes each, spreads 124-171 and
+# 117-162 ms).  The tracemalloc peak of 100,000 attempts grows with the
+# block: 0.7 MiB at 1,000, 1.4 at 2,000, 3.4 at 5,000, 6.7 at 10,000.
 ACCEPTANCE_BLOCK = 2_000
 
 
@@ -304,26 +318,35 @@ def _completion_matrix(table: IncidenceTable) -> np.ndarray:
     return np.concatenate([lines, table.incidence @ lines])
 
 
-def _require_free_completion(table: IncidenceTable, p: int) -> None:
+def _require_free_completion(table: IncidenceTable, completion: np.ndarray, p: int) -> None:
     """Refuse a search whose completion forces a zero label or two proportional ones.
 
-    A zero row of the completion matrix mod p makes that label zero, and
-    two proportional rows put two labels in one class, whatever is drawn.
-    Rows are compared by :func:`projective_label`, as base-p keys of rows
-    this long overflow int64.
+    A zero row of the ``completion`` matrix mod p makes that label zero,
+    and two proportional rows put two labels in one class, whatever is
+    drawn.  Each row is scaled so that its first nonzero entry is 1 and
+    the rows are compared by one lexsort, as base-p keys of rows this
+    long overflow int64.  The first row that is zero or repeats an
+    earlier one is named.
     """
+    rows = completion % p
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows = rows * np.array([pow(int(x), -1, p) if x else 0 for x in lead.tolist()])[:, None] % p
+    order = np.lexsort(rows.T[::-1])
+    # first[k]: the first row equal to row k (lexsort is stable)
+    starts = np.concatenate([[True], (rows[order[1:]] != rows[order[:-1]]).any(axis=1)])
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    bad = np.flatnonzero((lead == 0) | (first != np.arange(len(rows))))
+    if not bad.size:
+        return
     slots = [*(f"line {l}" for l in table.arrangement.lines), *(f"point {q}" for q in table.points)]
-    first: dict[Vector, int] = {}
-    for k, row in enumerate((_completion_matrix(table) % p).tolist()):
-        key = projective_label(row, p)
-        if key is None:
-            raise ValueError(f"the completed label of {slots[k]} is zero mod {p} for every draw")
-        if key in first:
-            raise ValueError(
-                f"the completed labels of {slots[first[key]]} and {slots[k]} "
-                f"are proportional mod {p} for every draw"
-            )
-        first[key] = k
+    k = bad[0]
+    if lead[k] == 0:
+        raise ValueError(f"the completed label of {slots[k]} is zero mod {p} for every draw")
+    raise ValueError(
+        f"the completed labels of {slots[first[k]]} and {slots[k]} "
+        f"are proportional mod {p} for every draw"
+    )
 
 
 # The key table holds one int32 per vector of (Z/p)^r: at most 64 MB.
@@ -339,42 +362,62 @@ def _require_key_table(p: int, r: int) -> None:
         )
 
 
-def _draw_distinct_projective(rng: np.random.Generator, count: int, p: int, r: int):
-    """Draw nonzero labels representing pairwise distinct projective points."""
-    out: list[Vector] = []
-    seen: set[Vector] = set()
-    while len(out) < count:
-        lab = tuple(int(x) for x in rng.integers(0, p, size=r))
-        key = projective_label(lab, p)
-        if key is None or key in seen:
-            continue
-        seen.add(key)
-        out.append(lab)
-    return out
+def _distinct_projective_draws(rng: np.random.Generator, count: int, p: int, r: int):
+    """Yield, attempt after attempt, ``count`` nonzero labels in distinct classes.
+
+    An attempt reads the labels of the stream in order and keeps a label
+    unless it is zero or in the class of one it already keeps; the next
+    attempt starts after the last label read.  The stream is drawn
+    ``LABEL_CHUNK`` labels at a time, and bounded draws of one generator
+    do not depend on how they are split into calls, so the labels are
+    those of one ``rng.integers(0, p, size=r)`` per label.
+    """
+    labels = np.empty((0, r), dtype=np.int64)
+    keys = np.empty(0, dtype=np.int64)
+    start = 0
+    while True:
+        # prev[i]: the last position before i of a label in the class of i, or -1
+        order = np.argsort(keys, kind="stable")
+        same = keys[order[1:]] == keys[order[:-1]]
+        prev = np.full(keys.size, -1)
+        prev[order[1:][same]] = order[:-1][same]
+        while True:
+            kept = np.flatnonzero((keys[start:] >= 0) & (prev[start:] < start))
+            if kept.size < count:
+                break
+            yield labels[start + kept[:count]]
+            start += int(kept[count - 1]) + 1
+        more = rng.integers(0, p, size=(LABEL_CHUNK, r))
+        labels = np.concatenate([labels[start:], more])
+        keys = np.concatenate([keys[start:], class_keys(more, p)])
+        start = 0
 
 
 def random_label_search(table: IncidenceTable, p: int, r: int, seed: int) -> SearchResult:
     """Draw line labels until the completed map passes validation.
 
     Injectivity of the completed labels is the expensive filter and is
-    checked first; the full validation runs only on candidates that
-    survive it.  Deterministic for a given seed; the attempt count is
-    reported so acceptance rates can be compared with the birthday
-    estimate.  Raises ValueError when the n line and m point labels
-    outnumber the classes of P^{r-1}(F_p), so no map can be injective,
-    when they cannot span (Z/p)^r, or when the completion forces a label
-    to be zero or two labels into one class.
+    checked first, on one product with the completion matrix; a label
+    map is built and fully validated only for candidates that survive
+    it.  Deterministic for a given seed; the attempt count is reported
+    so acceptance rates can be compared with the birthday estimate.
+    Raises ValueError when the n line and m point labels outnumber the
+    classes of P^{r-1}(F_p), so no map can be injective, when they
+    cannot span (Z/p)^r, or when the completion forces a label to be
+    zero or two labels into one class.
     """
     n = len(table.arrangement.lines)
     _require_classes(n + table.num_points, p, r)
     _require_span(n, table.num_points, p, r)
-    _require_free_completion(table, p)
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, MAX_SEARCH_ATTEMPTS + 1):
-        partial = _draw_distinct_projective(rng, n - 1, p, r)
-        labels = complete_labels(partial, table, p, r)
-        if not distinct_nonzero(class_keys(np.array(labels.all_labels, dtype=np.int64), p)):
+    completion = _completion_matrix(table)
+    _require_free_completion(table, completion, p)
+    draws = _distinct_projective_draws(np.random.default_rng(seed), n - 1, p, r)
+    for attempt, drawn in zip(range(1, MAX_SEARCH_ATTEMPTS + 1), draws):
+        completed = completion @ drawn % p
+        if not distinct_nonzero(class_keys(completed, p)):
             continue
+        rows = [tuple(lab) for lab in completed.tolist()]
+        labels = LabelMap(p, r, tuple(rows[:n]), tuple(rows[n:]))
         if validate_labels(labels, table).all_ok:
             return SearchResult(labels, attempt, True)
     raise RuntimeError(f"no valid label map found in {MAX_SEARCH_ATTEMPTS} attempts")
@@ -394,13 +437,27 @@ def acceptance_estimate(n: int, m: int, p: int, r: int) -> Fraction:
     return prob
 
 
-def _base_p(labels: np.ndarray, p: int) -> np.ndarray:
-    """Each int32 label over the last axis read as a number in base p."""
-    index = labels[..., 0].copy()
-    for j in range(1, labels.shape[-1]):
-        index *= p
-        index += labels[..., j]
-    return index
+def _floor_divmod(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Floor quotient and remainder by p of float32 integers below 2^24 in size.
+
+    Both are exact: the rounding error of x / p, at most 2^-24 |x| / p,
+    is below 1/p, the least distance from a fraction x / p to an
+    integer, so the floor is the integer quotient q, and q p and x - q p
+    are integers float32 holds.
+    """
+    quotient = x / p
+    np.floor(quotient, out=quotient)
+    remainder = quotient * p
+    np.subtract(x, remainder, out=remainder)
+    return quotient, remainder
+
+
+def _base_p(digits: np.ndarray, p: int) -> np.ndarray:
+    """Each label over axis 1 of float32 digits read as an int32 number in base p."""
+    index = digits[:, 0]
+    for j in range(1, digits.shape[1]):
+        index = index * p + digits[:, j]
+    return index.astype(np.int32)
 
 
 def empirical_acceptance(
@@ -413,24 +470,34 @@ def empirical_acceptance(
     succeeds when all completed labels are nonzero and pairwise distinct
     in P^{r-1}(F_p).  Returns (successes, attempts).
 
+    Each label is drawn as one uniform index into the p^r vectors of
+    (Z/p)^r, read in base p, so a label costs one random number, not r;
+    the distribution is that of r uniform coordinates.  The index reads
+    the label's key from a table of the :func:`class_keys` of all p^r
+    vectors, built once per call, and only the attempts whose drawn keys
+    are distinct are split into digits.
+
     The draws stream in blocks of ``ACCEPTANCE_BLOCK`` attempts, so the
     memory held does not grow with ``attempts``.  The count does not
     depend on the block size: consecutive draws from one generator
     concatenate to the stream of a single large draw, and the distinct
     draws are taken in stream order until ``attempts`` of them are
-    counted.  Labels are read in base p as indices into a table of the
-    :func:`class_keys` of all p^r vectors, built once per call.
+    counted.
 
     Rejection is staged, as almost every attempt fails: the drawn keys
-    and the last line's key are checked first, then the point keys are
-    added in three groups of points, and each stage keeps only the rows
-    still free of a zero label and a repeated class.  An attempt passes
-    every stage exactly when all its labels are distinct, so the count
-    is that of checking all labels at once.  Each stage's labels are one
-    float64 product of the drawn labels with the columns of the
-    completion matrix; that is exact, as no sum exceeds (p - 1) (n - 1)
-    in absolute value, and it fits int32, as n - 1 labels in distinct
-    classes bound n by the p^r of the key table.
+    are checked first, then the keys of the last line and the points in
+    three groups, and each stage keeps only the rows still free of a
+    zero label and a repeated class.  An attempt passes every stage
+    exactly when all its labels are distinct, so the count is that of
+    checking all labels at once.  A stage's labels are float32 products
+    of each attempt's digits with columns of the completion matrix, one
+    stacked matmul; one product over the whole block is large enough
+    for OpenBLAS to thread it, which took about 30 times as long on 2
+    shared cores.  float32 is exact here: every sum is at most
+    (n - 1) (p - 1) in absolute value, which is below p^r, as n - 1
+    labels in distinct classes number at most (p^r - 1) / (p - 1), and
+    p^r is at most the 2^24 of the key table, below which float32 holds
+    every integer (:func:`_floor_divmod` reduces them mod p).
 
     Raises ValueError when the n - 1 drawn labels outnumber the classes,
     so no draw is distinct, and, before allocating anything, when p^r
@@ -441,24 +508,31 @@ def empirical_acceptance(
     _require_key_table(p, r)
     powers = p ** np.arange(r - 1, -1, -1, dtype=np.int32)
     key_of = class_keys(np.arange(p**r)[:, None] // powers % p, p).astype(np.int32)
-    # the coefficients of the last line, then of the points in three groups
-    completion = _completion_matrix(table)[n - 1:].T.astype(np.float64)
-    stages = [completion[:, :1], *np.array_split(completion[:, 1:], 3, axis=1)]
+    # the coefficients of the last line and the points, in three groups
+    completion = _completion_matrix(table)[n - 1:].T.astype(np.float32)
+    stages = np.array_split(completion, 3, axis=1)
     rng = np.random.default_rng(seed)
+    # one buffer for the drawn keys: a fresh array per block is large
+    # enough to be mapped and faulted in again each time
+    drawn_keys = np.empty((ACCEPTANCE_BLOCK, n - 1), dtype=np.int32)
     successes = 0
     done = 0
     while done < attempts:
-        draws = rng.integers(0, p, size=(ACCEPTANCE_BLOCK, n - 1, r), dtype=np.int32)
-        keys = key_of[_base_p(draws, p)]
+        draws = rng.integers(0, p**r, size=(ACCEPTANCE_BLOCK, n - 1), dtype=np.int32)
+        keys = np.take(key_of, draws, out=drawn_keys)
         kept = np.flatnonzero(distinct_nonzero(keys))[: attempts - done]
         done += kept.size
         keys = keys[kept]
-        drawn = draws[kept].transpose(0, 2, 1).astype(np.float64)
+        # digits[k, j] holds digit j, in base p, of each label drawn in attempt k
+        rest = draws[kept].astype(np.float32)
+        digits = np.empty((kept.size, r, n - 1), dtype=np.float32)
+        for j in range(r - 1, -1, -1):
+            rest, digits[:, j] = _floor_divmod(rest, p)
         for coeffs in stages:
-            labels = (drawn @ coeffs).astype(np.int32).transpose(0, 2, 1) % p
+            labels = _floor_divmod(digits @ coeffs, p)[1]
             keys = np.concatenate([keys, key_of[_base_p(labels, p)]], axis=1)
             alive = distinct_nonzero(keys)
-            drawn, keys = drawn[alive], keys[alive]
+            digits, keys = digits[alive], keys[alive]
         successes += keys.shape[0]
     return successes, attempts
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
+
 from .projective import (
     ProjectiveLine,
     ProjectivePoint,
@@ -334,36 +336,95 @@ def double_point_completions(
     return sorted(out)
 
 
+# Candidates drawn by search_double_point before it gives up.
+MAX_SCAN_ATTEMPTS = 200_000
+
+# Mersenne Twister words drawn per call by search_double_point; a scan of
+# ten triples below height 10 reads about 2,200.
+WORD_BLOCK = 2_048
+
+
+def _randint_blocks(rng: random.Random, h: int):
+    """Yield, block after block, the values ``rng.randint(-h, h)`` would return.
+
+    For 2h + 1 < 2^32 with bit length k, ``randint`` reads one 32-bit
+    word per try, keeps its top k bits and tries again while they are at
+    least 2h + 1.  ``getrandbits(32 m)`` returns the next m words, least
+    significant first, so replaying that rule on them gives the same
+    values in the same order.
+    """
+    n = 2 * h + 1
+    shift = 32 - n.bit_length()
+    while True:
+        bits = rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little")
+        values = np.frombuffer(bits, dtype="<u4") >> shift
+        yield values[values < n].astype(np.int64) - h
+
+
+def _may_complete(draws: np.ndarray, h: int) -> np.ndarray:
+    """Which rows (P, Q, r1, r2) of ``draws`` can give a double-point completion.
+
+    A row is out when P or Q is the zero triple, r1 = r2 = 0, or, as in
+    :func:`double_point_completions`, a = 0, c < 0 or c is not a square.
+    Normalizing P and Q divides a by a nonzero integer and c by a square,
+    so the tests hold on the raw draws.  The sign of c is the product of
+    the signs; c itself is formed only while 4 h^6 < 2^53, where int64
+    and float64 hold it exactly, and above that no row is dropped for it.
+    """
+    p0, p1, p2, q0, q1, q2, r1, r2 = draws.T
+    keep = draws[:, 0:3].any(axis=1) & draws[:, 3:6].any(axis=1) & ((r1 != 0) | (r2 != 0))
+    keep &= p1 * q2 != p2 * q1
+    keep &= np.sign(p0) * np.sign(p1) * np.sign(q0) * np.sign(q2) * np.sign(r1) * np.sign(r2) >= 0
+    if 4 * h**6 < 2**53:
+        c = 4 * p0 * p1 * q0 * q2 * r1 * r2
+        root = np.sqrt(np.abs(c)).round().astype(np.int64)
+        keep &= root * root == c
+    return keep
+
+
 def search_double_point(height_bound: int, count: int, seed: int) -> list[tuple]:
     """Seeded scan for triples classifying as a double point.
 
     Draws P, Q and two coordinates of R at random below the height
     bound, completes R through the vanishing discriminant, and keeps
-    triples whose classification is DOUBLE_POINT.  Deterministic for a
-    given seed; results sorted canonically.
+    triples whose classification is DOUBLE_POINT, until ``count`` are
+    found or ``MAX_SCAN_ATTEMPTS`` candidates are drawn.  Deterministic
+    for a given seed; results sorted canonically.
+
+    The draws are those of eight ``randint(-height_bound, height_bound)``
+    calls per candidate, replayed in blocks (:func:`_randint_blocks`), and
+    candidates that cannot complete are dropped in bulk
+    (:func:`_may_complete`) before any point is built.  Raises
+    ValueError unless 1 <= height_bound < 2^31.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
-    rng = random.Random(seed)
+    if height_bound >= 2**31:
+        raise ValueError("height bound must be below 2^31")
     found = set()
     attempts = 0
-    max_attempts = 200_000
-    while len(found) < count and attempts < max_attempts:
-        attempts += 1
-        try:
-            coords = [rng.randint(-height_bound, height_bound) for _ in range(8)]
-            P = point(coords[0:3])
-            Q = point(coords[3:6])
-            r1, r2 = coords[6], coords[7]
-            if (r1, r2) == (0, 0):
+    pending = np.empty(0, dtype=np.int64)
+    for values in _randint_blocks(random.Random(seed), height_bound):
+        if len(found) >= count or attempts >= MAX_SCAN_ATTEMPTS:
+            break
+        pending = np.concatenate([pending, values])
+        usable = min(len(pending) // 8, MAX_SCAN_ATTEMPTS - attempts)
+        draws = pending[: 8 * usable].reshape(usable, 8)
+        pending = pending[8 * usable:]
+        attempts += usable
+        for coords in draws[_may_complete(draws, height_bound)].tolist():
+            try:
+                P = point(coords[0:3])
+                Q = point(coords[3:6])
+                for R in double_point_completions(P, Q, coords[6], coords[7]):
+                    if len({P, Q, R}) != 3:
+                        continue
+                    if classify(P, Q, R).kind is Kind.DOUBLE_POINT:
+                        found.add((P, Q, R))
+            except (ValueError, ZeroDivisionError):
                 continue
-            for R in double_point_completions(P, Q, r1, r2):
-                if len({P, Q, R}) != 3:
-                    continue
-                if classify(P, Q, R).kind is Kind.DOUBLE_POINT:
-                    found.add((P, Q, R))
-        except (ValueError, ZeroDivisionError):
-            continue
+            if len(found) >= count:
+                break
     return sorted(found)[:count]
 
 

@@ -382,11 +382,13 @@ def test_certificate_routes_most_first_degrees_through_residuation(heart, certif
 def test_certificate_builds_each_constant_once(heart, certificate, monkeypatch):
     # one crossing map of the 34 lines serves the singular points, the
     # structure checks and the incidence problem (5 computations before),
-    # and each conditions matrix reads its rows from one order table of
-    # its largest multiplicity, not from a per-point tuple index
+    # each conditions matrix reads its rows from one order table of its
+    # largest multiplicity, not from a per-point tuple index, and the
+    # line pairs of the two-line witness are indexed once per
+    # regularities call, not at each of its levels
     import rigidsurf.cohomology as cohomology
 
-    calls = {"intersection_points": 0, "_conditions": 0}
+    calls = {"intersection_points": 0, "_conditions": 0, "_conic_index": 0}
     tables = []
     original = sys.modules["rigidsurf.arrangement"].intersection_points
 
@@ -409,11 +411,15 @@ def test_certificate_builds_each_constant_once(heart, certificate, monkeypatch):
 
     wrap("_orders", tables.append)
     wrap("_conditions", lambda args: calls.__setitem__("_conditions", calls["_conditions"] + 1))
+    wrap("_conic_index", lambda args: calls.__setitem__("_conic_index", calls["_conic_index"] + 1))
+    witness_levels = []
+    wrap("_two_line_witness", lambda args: witness_levels.append(args[2]))
     cert = full_certificate(heart)
     assert cert.to_json(include_timings=False) == certificate.to_json(include_timings=False)
     assert calls["intersection_points"] == 1
     assert calls["_conditions"] == 12  # 8 stack banks and 4 Bareiss fallbacks
     assert len(tables) == 12
+    assert calls["_conic_index"] == 1 < len(witness_levels)
 
 
 def test_build_sweep_refuses_huge_groups(heart):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,11 +253,9 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert svg.count("<circle") == 51
 
 
-@pytest.mark.parametrize("row", [5, 34])
-def test_certify_fails_building_data_on_a_damaged_label_table(tmp_path, row):
-    # one label entry of the bundled table changed: the labels no longer
-    # sum to zero, so divisibility fails for the first unit character, the
-    # sweep is skipped, and the certificate is printed with exit status 1
+def _certify_on_edited_table(tmp_path, row, edit):
+    """Run ``rigidsurf certify`` on a copy of the bundled data whose
+    label table has data row ``row`` replaced by ``edit(cells)``."""
     import shutil
     from importlib import resources
 
@@ -267,8 +266,7 @@ def test_certify_fails_building_data_on_a_damaged_label_table(tmp_path, row):
     rows = table.read_text().split("\n")
     cells = rows[row].split("\t")
     assert cells[0] == str(row)
-    cells[4] = str((int(cells[4]) + 1) % 7)
-    rows[row] = "\t".join(cells)
+    rows[row] = "\t".join(edit(cells))
     table.write_text("\n".join(rows))
 
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -277,10 +275,21 @@ def test_certify_fails_building_data_on_a_damaged_label_table(tmp_path, row):
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         "RIGIDSURF_DATA": str(tmp_path),
     }
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "rigidsurf.cli", "certify"],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+@pytest.mark.parametrize("row", [5, 34])
+def test_certify_fails_building_data_on_a_damaged_label_table(tmp_path, row):
+    # one label entry of the bundled table changed: the labels no longer
+    # sum to zero, so divisibility fails for the first unit character, the
+    # sweep is skipped, and the certificate is printed with exit status 1
+    def bump(cells):
+        return [*cells[:4], str((int(cells[4]) + 1) % 7), *cells[5:]]
+
+    done = _certify_on_edited_table(tmp_path, row, bump)
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     cert = json.loads(done.stdout)
@@ -291,3 +300,25 @@ def test_certify_fails_building_data_on_a_damaged_label_table(tmp_path, row):
     for name in ("condition_a", "condition_b", "condition_c", "invariants"):
         assert cert[name] == {"skipped": "building_data failed"}
     assert cert["overall"]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("12", r"label \(12, 1, 2, 6\) of line 5 has an entry outside 0\.\.6"),
+        ("-1", r"label \(-1, 1, 2, 6\) of line 5 has an entry outside 0\.\.6"),
+        ("", r"label \(1, 2, 6\) of line 5 has 3 entries, expected 4"),
+    ],
+)
+def test_certify_refuses_an_unreduced_label_entry(tmp_path, value, message):
+    # a label entry outside 0..6 (or a missing one) is malformed input:
+    # exit status 2 and one error line naming the row, not a traceback
+    def put(cells):
+        return [*cells[:4], *([value] if value else []), *cells[5:]]
+
+    done = _certify_on_edited_table(tmp_path, 5, put)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: table1.tsv row 6: ")
+    assert re.search(message, lines[0])

@@ -7,10 +7,12 @@ import pytest
 import sympy
 from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
+from rigidsurf.arrangement import gather_sums
 from rigidsurf.cohomology import (
     EMPTY,
     RANK_PRIME,
     FatPointScheme,
+    _conic_index,
     _euler_rows,
     _line_bank,
     _orders,
@@ -308,8 +310,8 @@ def test_bundled_sweep_falls_back_only_on_true_deficiencies(sweep, cond_a, monke
         fallbacks.append((fat, t))
         return hilbert_rank(fat, t)
 
-    def recorded_witness(lines, mults, t):
-        claims = witness(lines, mults, t)
+    def recorded_witness(conics, mults, t):
+        claims = witness(conics, mults, t)
         witnessed.extend((fat_points(sweep.table.points, row), t) for row in mults[claims])
         return claims
 
@@ -561,7 +563,8 @@ def two_line_cases(draw):
 def _false_witnesses(case):
     """The highest degree a two-line witness claims h1 > 0 in, if h1 = 0 there."""
     points, row, lines = case
-    claimed = [t for t in range(sum(row)) if _two_line_witness(lines, np.array([row]), t)[0]]
+    conics = _conic_index(lines)
+    claimed = [t for t in range(sum(row)) if _two_line_witness(conics, np.array([row]), t)[0]]
     if not claimed:
         return []
     fat = fat_points(points, row)
@@ -583,9 +586,9 @@ def test_two_line_property_catches_a_doubled_node(monkeypatch):
     # where it vanishes
     import rigidsurf.cohomology as cohomology
 
-    def doubled_node(lines, mults):
-        a, b = np.triu_indices(len(lines), 1)
-        on = mults @ lines.T
+    def doubled_node(conics, mults):
+        a, b, members, _ = conics
+        on = gather_sums(mults, members)
         return on[:, a] + on[:, b]
 
     monkeypatch.setattr(cohomology, "_conic_lengths", doubled_node)

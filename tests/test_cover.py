@@ -1,10 +1,11 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from rigidsurf import cover
 from rigidsurf.arrangement import BASE_POINTS, Arrangement, closure, singular_points
 from rigidsurf.cover import (
     ACCEPTANCE_BLOCK,
@@ -373,11 +374,64 @@ def test_bundled_completion_is_free(table):
     random_label_search(table, 7, 5, seed=1)
 
 
+def _draw_distinct_projective(rng, count, p, r):
+    """One label per ``rng.integers`` call until ``count`` lie in distinct classes."""
+    out, seen = [], set()
+    while len(out) < count:
+        lab = tuple(int(x) for x in rng.integers(0, p, size=r))
+        key = projective_label(lab, p)
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        out.append(lab)
+    return out
+
+
+def _one_label_at_a_time_search(table, p, r, seed):
+    """The search as it was before the chunked stream: one draw call per
+    label and a label map completed for every attempt.
+
+    Kept as the oracle of the stream and of the attempt count.
+    """
+    n = len(table.arrangement.lines)
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, 100_000):
+        labels = complete_labels(_draw_distinct_projective(rng, n - 1, p, r), table, p, r)
+        if not distinct_nonzero(class_keys(np.array(labels.all_labels, dtype=np.int64), p)):
+            continue
+        if validate_labels(labels, table).all_ok:
+            return labels, attempt
+    raise AssertionError("the oracle found no label map")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize("chunk", [4, 1_024])
+def test_search_replays_the_one_label_stream(monkeypatch, p, r, chunk):
+    # six lines and four triple points: P^2(F_3) has just the 13 classes
+    # that ten labels need, so (3, 3) searches read many labels per
+    # attempt; chunks of 4 labels end inside every attempt of 5
+    monkeypatch.setattr(cover, "LABEL_CHUNK", chunk)
+    table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
+    for seed in range(8):
+        result = random_label_search(table, p, r, seed)
+        assert (result.labels, result.attempts) == _one_label_at_a_time_search(table, p, r, seed)
+
+
+@pytest.mark.parametrize("p, r, seeds", [(7, 5, range(3)), (101, 5, range(2)), (7, 4, [3])])
+def test_search_replays_the_one_label_stream_on_the_bundled_table(table, p, r, seeds):
+    # (Z/7)^4 seed 3 ends after 500 attempts, about 16 draw chunks
+    for seed in seeds:
+        result = random_label_search(table, p, r, seed)
+        assert (result.labels, result.attempts) == _one_label_at_a_time_search(table, p, r, seed)
+
+
 def _one_shot_acceptance(table, p, r, seed, attempts):
-    """The acceptance loop as it was before staged rejection.
+    """The acceptance loop without staged rejection.
 
     Kept as an oracle: every attempt's labels are completed in full and
-    all n + m class keys are checked in one sort.
+    all n + m class keys are checked in one sort.  Labels are drawn as
+    empirical_acceptance draws them, one uniform index into (Z/p)^r each.
     """
     n = len(table.arrangement.lines)
     powers = p ** np.arange(r - 1, -1, -1, dtype=np.int32)
@@ -387,17 +441,14 @@ def _one_shot_acceptance(table, p, r, seed, attempts):
     successes = 0
     done = 0
     while done < attempts:
-        draws = rng.integers(0, p, size=(ACCEPTANCE_BLOCK, n - 1, r), dtype=np.int32)
-        drawn_keys = key_of[draws @ powers]
-        kept = np.flatnonzero(distinct_nonzero(drawn_keys))[: attempts - done]
-        draws, drawn_keys = draws[kept], drawn_keys[kept]
+        index = rng.integers(0, p**r, size=(ACCEPTANCE_BLOCK, n - 1), dtype=np.int32)
+        kept = np.flatnonzero(distinct_nonzero(key_of[index]))[: attempts - done]
+        draws = (index[kept][:, :, None] // powers % p).astype(np.int32)
         last = -draws.sum(axis=1) % p
         lines_all = np.concatenate([draws, last[:, None, :]], axis=1)
         sums = lines_all.transpose(0, 2, 1).astype(np.float64) @ inc_t
         points = sums.astype(np.int32).transpose(0, 2, 1) % p
-        keys = np.concatenate(
-            [drawn_keys, key_of[last @ powers][:, None], key_of[points @ powers]], axis=1
-        )
+        keys = key_of[np.concatenate([lines_all, points], axis=1) @ powers]
         successes += int(distinct_nonzero(keys).sum())
         done += kept.size
     return successes, attempts
@@ -408,7 +459,7 @@ def _one_shot_acceptance(table, p, r, seed, attempts):
     [
         # six lines and four triple points in (Z/7)^3: about half the
         # attempts pass, so every stage sees survivors
-        (True, 7, 3, 1, 1),
+        (True, 7, 3, 2, 1),
         (True, 7, 3, 2, 1_999),
         (True, 7, 3, 3, 2_001),
         (True, 7, 3, 4, 4_567),
@@ -431,21 +482,50 @@ def test_empirical_acceptance_seeded_reproducible(table):
     assert a == b
 
 
-# counts of the earlier loop, which drew 50,000 int64 attempts per batch;
-# the cases straddle that batch and the current block size
+# counts of the one-shot oracle above, which checks all labels at once; the
+# cases straddle blocks of 2,000 attempts and the 50,000 of an earlier batch
 @pytest.mark.parametrize(
     "p, r, seed, attempts, expected",
     [
-        (7, 4, 20240601, 100_000, 27),
-        (7, 4, 2, 49_999, 13),
-        (7, 4, 4, 123_457, 34),
-        (7, 5, 5, 30_000, 10031),
-        (11, 4, 6, 20_000, 2398),
-        (5, 5, 7, 20_000, 364),
+        (7, 4, 20240601, 100_000, 26),
+        (7, 4, 2, 49_999, 15),
+        (7, 4, 4, 123_457, 28),
+        (7, 5, 5, 30_000, 10043),
+        (11, 4, 6, 20_000, 2399),
+        (5, 5, 7, 20_000, 365),
     ],
 )
 def test_empirical_acceptance_golden_counts(table, p, r, seed, attempts, expected):
     assert empirical_acceptance(table, p, r, seed, attempts) == (expected, attempts)
+
+
+@pytest.mark.parametrize("block", [700, 5_000])
+def test_empirical_acceptance_does_not_depend_on_the_block(table, monkeypatch, block):
+    expected = empirical_acceptance(table, 7, 5, 9, 12_345)
+    monkeypatch.setattr(cover, "ACCEPTANCE_BLOCK", block)
+    assert empirical_acceptance(table, 7, 5, 9, 12_345) == expected
+
+
+def test_empirical_acceptance_matches_exact_enumeration():
+    # the six lines and four triple points in (Z/2)^4: label classes are
+    # the 15 nonzero vectors, so an attempt draws 5 distinct ones, and
+    # over all 15 * 14 * 13 * 12 * 11 = 360,360 such draws the completed
+    # labels (the last line the sum of the five, each point the sum of
+    # its lines) are all nonzero and distinct in 120,960
+    table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
+    draws = np.array(list(permutations(range(1, 16), 5)), dtype=np.int8)
+    lines_all = np.concatenate([draws, np.bitwise_xor.reduce(draws, axis=1)[:, None]], axis=1)
+    points = [np.bitwise_xor.reduce(lines_all[:, list(through)], axis=1) for through in table.lines_through]
+    labels = np.sort(np.column_stack([lines_all, *points]), axis=1)
+    good = int(((labels[:, 0] > 0) & (labels[:, 1:] != labels[:, :-1]).all(axis=1)).sum())
+    assert (good, len(draws)) == (120_960, 360_360)
+
+    rate = good / len(draws)
+    attempts = 50_000
+    sigma = (rate * (1 - rate) / attempts) ** 0.5
+    for seed in range(3):
+        successes, _ = empirical_acceptance(table, 2, 4, seed, attempts)
+        assert abs(successes / attempts - rate) <= 4 * sigma
 
 
 def test_empirical_acceptance_memory_does_not_grow_with_attempts(table):

@@ -1,7 +1,10 @@
 """Smoke tests for the scripts under ``scripts/``."""
 
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +44,36 @@ def test_closure_report_prints_three_stages(monkeypatch, capsys):
         stages, expected["closure_line_counts"], expected["closure_point_counts"]
     ):
         assert want_lines in (None, int(n_lines)) and want_points in (None, int(n_points))
+
+
+def test_search_split_prints_the_four_parts(monkeypatch, capsys):
+    script = load_script("search_split")
+    monkeypatch.setattr(sys, "argv", ["search_split.py", "--seed", "3"])
+    script.main()
+    report = json.loads(capsys.readouterr().out)
+    parts = report["parts"]
+    assert list(parts) == ["label_search", "acceptance", "elimination", "triangles"]
+    for part in parts.values():
+        assert part["wall_s"] >= 0 and part["minflt"] >= 0
+    assert report["seed"] == 3 and report["total_wall_s"] > 0
+    assert parts["acceptance"]["count"][1] == 50_000
+    assert parts["elimination"]["schedules"] == 11
+    assert parts["triangles"]["triples"] == 100
+
+
+def test_search_workload_does_not_import_numpy_ma():
+    # numpy.ma is imported by the first np.unique(axis=0), at a cost of
+    # tens of milliseconds; none of the search workload's calls needs it
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['search_split.py', '--seed', '1']\n"
+        f"runpy.run_path({str(SCRIPTS / 'search_split.py')!r}, run_name='__main__')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert json.loads(lines[0])["parts"]["label_search"]["attempts"] > 0
+    assert lines[1] == "False"

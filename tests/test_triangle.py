@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rigidsurf import triangle
 from rigidsurf.projective import incident, point
 from rigidsurf.triangle import (
     AXIS_X,
@@ -151,3 +152,65 @@ def test_search_is_deterministic():
 def test_search_rejects_bad_bound():
     with pytest.raises(ValueError):
         search_double_point(height_bound=0, count=1, seed=0)
+    # 2h + 1 would need more than one 32-bit word per randint draw
+    with pytest.raises(ValueError, match="below 2\\^31"):
+        search_double_point(height_bound=2**31, count=1, seed=0)
+
+
+def _one_draw_at_a_time_search(height_bound, count, seed):
+    """The scan as it was before the block replay: eight randint calls per
+    candidate and every candidate through point and the completion.
+
+    Kept as the oracle of the replayed stream and of the bulk filter.
+    """
+    rng = random.Random(seed)
+    found = set()
+    attempts = 0
+    while len(found) < count and attempts < triangle.MAX_SCAN_ATTEMPTS:
+        attempts += 1
+        try:
+            coords = [rng.randint(-height_bound, height_bound) for _ in range(8)]
+            P = point(coords[0:3])
+            Q = point(coords[3:6])
+            r1, r2 = coords[6], coords[7]
+            if (r1, r2) == (0, 0):
+                continue
+            for R in double_point_completions(P, Q, r1, r2):
+                if len({P, Q, R}) != 3:
+                    continue
+                if classify(P, Q, R).kind is Kind.DOUBLE_POINT:
+                    found.add((P, Q, R))
+        except (ValueError, ZeroDivisionError):
+            continue
+    return sorted(found)[:count]
+
+
+@pytest.mark.parametrize("height_bound", range(1, 13))
+def test_search_replays_the_randint_stream(height_bound):
+    # the same triples as one randint call per coordinate, for counts that
+    # end a scan inside the first block and several blocks in
+    for seed in range(4):
+        for count in (0, 1, 5, 12):
+            assert search_double_point(height_bound, count, seed) == _one_draw_at_a_time_search(
+                height_bound, count, seed
+            )
+
+
+def test_search_replays_the_stream_without_the_square_filter():
+    # from height 363 on, 4 h^6 passes 2^53 and the bulk filter keeps every
+    # candidate with c >= 0 for the exact completion to judge
+    for seed in range(4):
+        found = search_double_point(363, 3, seed)
+        assert found == _one_draw_at_a_time_search(363, 3, seed)
+        assert len(found) == 3
+
+
+@pytest.mark.parametrize("cap", [1, 500, 1_000])
+def test_search_stops_at_the_attempt_cap(monkeypatch, cap):
+    # below height 1 only 20 triples exist, so a scan for 40 runs to the
+    # cap; a cap inside a block must cut the block at the same candidate
+    monkeypatch.setattr(triangle, "MAX_SCAN_ATTEMPTS", cap)
+    for seed in (0, 1):
+        got = search_double_point(1, 40, seed)
+        assert got == _one_draw_at_a_time_search(1, 40, seed)
+        assert len(got) < 20
