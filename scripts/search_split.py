@@ -6,14 +6,19 @@ The inputs are those of ``perfbench/workloads.py`` for the given seed:
 plus 10 seeded elimination schedules, and 10 double-point scans.  Each
 part runs once, in the benchmark's order, and prints as one JSON object
 with its wall time, the minor page faults it took (``ru_minflt``) and a
-short summary of its output.
+short summary of its output.  With ``--repeat N`` the repetition runs in
+N fresh processes, one after the other, and the object gives each part's
+median wall time and faults over them, with the N values.
 
     PYTHONPATH=src python scripts/search_split.py --seed 1
+    PYTHONPATH=src python scripts/search_split.py --seed 1 --repeat 5
 """
 
 import argparse
 import json
 import resource
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -37,7 +42,13 @@ def _timed(call):
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=1, help="fresh processes to take medians over")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    if args.repeat > 1:
+        print(json.dumps(_medians(args.seed, args.repeat)))
+        return
 
     from rigidsurf import cover, incidence, triangle
 
@@ -74,6 +85,24 @@ def main():
 
     total = round(sum(part["wall_s"] for part in parts.values()), 4)
     print(json.dumps({"seed": args.seed, "total_wall_s": total, "parts": parts}))
+
+
+def _medians(seed: int, repeat: int) -> dict:
+    """Each part's median wall time and faults over ``repeat`` fresh processes."""
+    runs = []
+    for _ in range(repeat):
+        done = subprocess.run(
+            [sys.executable, __file__, "--seed", str(seed)], capture_output=True, text=True, check=True
+        )
+        runs.append(json.loads(done.stdout)["parts"])
+    parts = {}
+    for name in runs[0]:
+        parts[name] = {}
+        for metric in ("wall_s", "minflt"):
+            values = [run[name][metric] for run in runs]
+            parts[name][metric] = statistics.median(values)
+            parts[name][f"{metric}_runs"] = values
+    return {"seed": seed, "repeat": repeat, "parts": parts}
 
 
 if __name__ == "__main__":

@@ -263,15 +263,27 @@ MAX_SEARCH_ATTEMPTS = 1_000_000
 # bundled table reads about 80 labels, a (Z/7)^4 search about 130,000.
 LABEL_CHUNK = 1_024
 
-# Attempts drawn per block by empirical_acceptance.  On 2 cores (Python
-# 3.11.7, numpy 2.4.6), 50,000 attempts in (Z/7)^4 took a median 181 ms
-# with blocks of 1,000, 165 ms with 2,000, 152 ms with 5,000 and 150 ms
-# with 10,000 (in process, 9 alternating calls each); in fresh processes
-# after the search benchmark's label searches, 2,000 and 5,000 took 146
-# and 136 ms (8 alternating processes each, spreads 124-171 and
-# 117-162 ms).  The tracemalloc peak of 100,000 attempts grows with the
-# block: 0.7 MiB at 1,000, 1.4 at 2,000, 3.4 at 5,000, 6.7 at 10,000.
-ACCEPTANCE_BLOCK = 2_000
+# Rows (attempts) drawn per block by empirical_acceptance; its buffers
+# grow with the block.  On 2 shared cores (Python 3.11.7, numpy 2.4.6),
+# 50,000 attempts in (Z/7)^4 took a median 92, 85, 80, 75 and 79 ms with
+# blocks of 500, 700, 1,000, 2,000 and 5,000 (in process, 11 alternating
+# calls each; 70 ms for 700 and 1,000 alike in a faster phase), with
+# tracemalloc peaks of 1.0, 1.3, 1.8, 3.4 and 8.3 MiB, the same at
+# 100,000 attempts.  Blocks of 1,000 raised the peak RSS of a search
+# benchmark repetition from 39.5 to 40.0 MB.
+ACCEPTANCE_BLOCK = 700
+
+# empirical_acceptance reads rows wide enough that fewer than this share
+# of them hold too few distinct classes
+ROW_SKIP = 0.01
+
+# empirical_acceptance refuses to count when an attempt reads more labels
+# than this on average: 33 labels in the 400 classes of P^3(F_7) read
+# about 34, but n - 1 labels in n - 1 classes read about C ln C
+MAX_ATTEMPT_LABELS = 256
+
+# Entries of a stage decode table with two digits per word, at most.
+MAX_DECODE_TABLE = 2**17
 
 
 @dataclass(frozen=True)
@@ -349,7 +361,8 @@ def _require_free_completion(table: IncidenceTable, completion: np.ndarray, p: i
     )
 
 
-# The key table holds one int32 per vector of (Z/p)^r: at most 64 MB.
+# Tables over the vectors of (Z/p)^r, built once per acceptance count, and
+# a label drawn from 24 random bits: p^r is at most 2^24.
 MAX_KEY_TABLE = 2**24
 
 
@@ -437,27 +450,115 @@ def acceptance_estimate(n: int, m: int, p: int, r: int) -> Fraction:
     return prob
 
 
-def _floor_divmod(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Floor quotient and remainder by p of float32 integers below 2^24 in size.
+def _hit_rate(p: int, per: int) -> float:
+    """Probability that one drawn label is in a given class: p - 1 labels
+    of ``per`` numbers each, out of 2^24."""
+    return (p - 1) * per / 2**24
 
-    Both are exact: the rounding error of x / p, at most 2^-24 |x| / p,
-    is below 1/p, the least distance from a fraction x / p to an
-    integer, so the floor is the integer quotient q, and q p and x - q p
-    are integers float32 holds.
+
+def _mean_labels(count: int, p: int, r: int, per: int) -> float:
+    """Mean number of labels read until ``count`` lie in distinct classes.
+
+    With k classes held, a label brings a new one with probability
+    (C - k) times the hit rate, C the number of classes.
     """
-    quotient = x / p
-    np.floor(quotient, out=quotient)
-    remainder = quotient * p
-    np.subtract(x, remainder, out=remainder)
-    return quotient, remainder
+    classes = (p**r - 1) // (p - 1)
+    return sum(1 / ((classes - k) * _hit_rate(p, per)) for k in range(count))
 
 
-def _base_p(digits: np.ndarray, p: int) -> np.ndarray:
-    """Each label over axis 1 of float32 digits read as an int32 number in base p."""
-    index = digits[:, 0]
-    for j in range(1, digits.shape[1]):
-        index = index * p + digits[:, j]
-    return index.astype(np.int32)
+def _skip_probabilities(count: int, p: int, r: int, per: int):
+    """Yield, for rows of 1, 2, ... labels, the probability of fewer than
+    ``count`` distinct classes in the row.
+
+    An occupancy DP over the labels of a row: ``held[k]`` is the
+    probability that the labels read so far bring k distinct classes
+    (``count`` standing for ``count`` or more).
+    """
+    classes = (p**r - 1) // (p - 1)
+    fresh = np.array([(classes - k) * _hit_rate(p, per) for k in range(count)] + [0.0])
+    held = np.zeros(count + 1)
+    held[0] = 1.0
+    while True:
+        moved = held * fresh
+        held -= moved
+        held[1:] += moved[:-1]
+        yield 1 - held[count]
+
+
+def _row_width(count: int, p: int, r: int, per: int) -> tuple[int, float]:
+    """The least row width whose skip probability is below ``ROW_SKIP``,
+    and that probability."""
+    for width, skip in enumerate(_skip_probabilities(count, p, r, per), start=1):
+        if width >= count and skip < ROW_SKIP:
+            return width, skip
+
+
+def _label_tables(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels by class and scalar, and the class of every label.
+
+    Row c (p - 1) + a of the first table, for a < p - 1, is (a + 1) times
+    the representative of class c, the classes ordered by their
+    representatives read in base p with the first nonzero digit 1; the
+    last row, p^r - 1, is the zero label.  Entry v of the second is the
+    class of the label read as v in base p, -1 for zero.
+    """
+    size = p**r
+    digits = np.arange(size)[:, None] // p ** np.arange(r - 1, -1, -1) % p
+    keys = class_keys(digits, p)
+    reps = np.flatnonzero(keys == np.arange(size))
+    class_of = np.where(keys >= 0, np.searchsorted(reps, keys), -1)
+    labels = digits[reps][:, None, :] * np.arange(1, p)[:, None] % p
+    labels = np.concatenate([labels.reshape(-1, r), np.zeros((1, r), dtype=digits.dtype)])
+    dtype = np.int16 if len(reps) < 2**15 else np.int32
+    return labels, class_of.astype(dtype)
+
+
+def _stage_tables(completion: np.ndarray, labels: np.ndarray, p: int):
+    """Coefficient, word and decode tables of the packed stage sums.
+
+    Every completed label but the drawn ones is a sum of the drawn labels
+    over a subset, or minus one, and negating a column changes no class,
+    so the columns are taken with 0/1 coefficients.  The r base-p digits
+    of a label are packed g to a float32 word, in base beta, beta above
+    every column's digit sum, so a column's sum of words carries nothing
+    from one digit to the next.  ``words[k, t]`` is word k of row t of
+    ``labels``, the first word holding the leading digits (with zeros in
+    front to fill it); ``decode[s]`` is the base-p value of the g digits
+    of a word sum s, each reduced mod p.  g is 2 when the decode table
+    has at most ``MAX_DECODE_TABLE`` entries, else 1.
+    """
+    r = labels.shape[1]
+    coeffs = completion * np.where(completion.sum(axis=0) < 0, -1, 1)
+    assert (coeffs >= 0).all(), "a completion column mixes signs"
+    beta = int(coeffs.sum(axis=0).max(initial=0)) * (p - 1) + 1
+    g = 2 if beta**2 <= MAX_DECODE_TABLE else 1
+    count = -(-r // g)
+    # word sums stay below beta^g <= 2^24, where float32 sums are exact
+    assert beta**g <= 2**24
+    digits = np.concatenate([np.zeros((len(labels), count * g - r), dtype=labels.dtype), labels], axis=1)
+    words = digits.reshape(len(labels), count, g) @ beta ** np.arange(g - 1, -1, -1)
+    # built digit by digit in the table's own dtype, as int64 columns of
+    # beta^g sums would fault in several hundred fresh pages per call
+    digit = (np.arange(beta) % p).astype(np.int16 if p**r <= 2**15 else np.int32)
+    decode = digit
+    for _ in range(g - 1):
+        decode = np.add.outer(decode * digit.dtype.type(p), digit).ravel()
+    return coeffs.astype(np.float32), np.ascontiguousarray(words.T, np.float32), decode, g
+
+
+def _stage_sums(words: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> None:
+    """``words @ coeffs`` into ``out``, in products OpenBLAS runs on one thread.
+
+    OpenBLAS threads a product of more than 2^18 multiply-adds (65,536
+    times its default ``GEMM_MULTITHREAD_THRESHOLD`` of 4).  A threaded
+    product waits for the second thread: a 1,000 x 33 by 33 x 18 product
+    took 6-16 ms in place of 20 us whenever the other core was busy, on
+    one run in 15 of the ``search`` workload on 2 shared cores.  Each call
+    here stays at or below 2^18.
+    """
+    step = max(1, 2**18 // max(1, coeffs.size))
+    for s in range(0, len(words), step):
+        np.matmul(words[s:s + step], coeffs, out=out[s:s + step])
 
 
 def empirical_acceptance(
@@ -465,80 +566,155 @@ def empirical_acceptance(
 ) -> tuple[int, int]:
     """Vectorized acceptance counting over many seeded attempts.
 
-    An attempt draws n-1 projectively distinct line labels (in bulk:
-    uniform draws filtered for distinctness), completes them, and
-    succeeds when all completed labels are nonzero and pairwise distinct
-    in P^{r-1}(F_p).  Returns (successes, attempts).
+    An attempt reads one row of ``width`` labels from the generator,
+    keeps the first n-1 that are nonzero and in classes of P^{r-1}(F_p)
+    not kept before, in row order, completes them, and succeeds when all
+    completed labels are nonzero and pairwise distinct in P^{r-1}(F_p).
+    A row holding fewer than n-1 classes is skipped and not counted.
+    Returns (successes, attempts).
 
-    Each label is drawn as one uniform index into the p^r vectors of
-    (Z/p)^r, read in base p, so a label costs one random number, not r;
-    the distribution is that of r uniform coordinates.  The index reads
-    the label's key from a table of the :func:`class_keys` of all p^r
-    vectors, built once per call, and only the attempts whose drawn keys
-    are distinct are split into digits.
+    The kept labels are uniform over ordered (n-1)-tuples of labels in
+    distinct classes, as when whole rows of n-1 labels are drawn until
+    one is distinct: the rule reads only which labels are zero and which
+    share a class, so their law is invariant under permuting the classes
+    and rescaling each one, and these act transitively on such tuples.
+    The width is the least whose exact skip probability, from an
+    occupancy DP (:func:`_skip_probabilities`), is below ``ROW_SKIP``: on
+    the bundled table in (Z/7)^4, rows of 38 labels skip 0.46%, where
+    drawing rows of 33 until one was distinct kept only 25% of them.
 
-    The draws stream in blocks of ``ACCEPTANCE_BLOCK`` attempts, so the
-    memory held does not grow with ``attempts``.  The count does not
-    depend on the block size: consecutive draws from one generator
-    concatenate to the stream of a single large draw, and the distinct
-    draws are taken in stream order until ``attempts`` of them are
-    counted.
+    Each label is one float32 draw u, read as the 24-bit number 2^24 u:
+    t = 2^24 u // (2^24 // p^r) takes each value below p^r - 1 with the
+    same probability, and t names label t, the (t mod (p - 1) + 1)-th
+    multiple of the representative of class t // (p - 1); larger t, the
+    zero label and the remainder of 2^24, are skipped.  Rows are
+    consecutive draws of one generator, whose float32 draws concatenate
+    across calls, so the count does not depend on ``ACCEPTANCE_BLOCK``,
+    the rows drawn per block.
 
-    Rejection is staged, as almost every attempt fails: the drawn keys
-    are checked first, then the keys of the last line and the points in
-    three groups, and each stage keeps only the rows still free of a
-    zero label and a repeated class.  An attempt passes every stage
-    exactly when all its labels are distinct, so the count is that of
-    checking all labels at once.  A stage's labels are float32 products
-    of each attempt's digits with columns of the completion matrix, one
-    stacked matmul; one product over the whole block is large enough
-    for OpenBLAS to thread it, which took about 30 times as long on 2
-    shared cores.  float32 is exact here: every sum is at most
-    (n - 1) (p - 1) in absolute value, which is below p^r, as n - 1
-    labels in distinct classes number at most (p^r - 1) / (p - 1), and
-    p^r is at most the 2^24 of the key table, below which float32 holds
-    every integer (:func:`_floor_divmod` reduces them mod p).
+    Each row is sorted once by [class | position | label] and once by
+    [repeated | position | label], which lists its kept labels first in
+    row order.  The last line and the points are completed in three
+    stages of columns, and each stage keeps only the rows still free of
+    a zero label and a repeated class (:func:`distinct_nonzero`), so an
+    attempt passes every stage exactly when all its labels are distinct.
+    A stage's labels are float32 products of packed digit words with 0/1
+    columns, decoded by table (:func:`_stage_tables`); every sum is an
+    integer below 2^24, so the products are exact.  The draw's and the
+    stages' arrays are allocated once per call.
 
-    Raises ValueError when the n - 1 drawn labels outnumber the classes,
-    so no draw is distinct, and, before allocating anything, when p^r
-    exceeds ``MAX_KEY_TABLE``.
+    Raises ValueError when the n-1 drawn labels outnumber the classes,
+    when p^r exceeds ``MAX_KEY_TABLE``, both before allocating anything,
+    and when an attempt needs more than ``MAX_ATTEMPT_LABELS`` labels on
+    average, as it does when n-1 is close to the number of classes.
     """
     n = len(table.arrangement.lines)
-    _require_classes(n - 1, p, r)
+    count = n - 1
+    _require_classes(count, p, r)
     _require_key_table(p, r)
-    powers = p ** np.arange(r - 1, -1, -1, dtype=np.int32)
-    key_of = class_keys(np.arange(p**r)[:, None] // powers % p, p).astype(np.int32)
-    # the coefficients of the last line and the points, in three groups
-    completion = _completion_matrix(table)[n - 1:].T.astype(np.float32)
-    stages = np.array_split(completion, 3, axis=1)
+    size = p**r
+    per = 2**24 // size
+    mean = _mean_labels(count, p, r, per)
+    if mean > MAX_ATTEMPT_LABELS:
+        raise ValueError(
+            f"an attempt reads {mean:.0f} labels on average to find {count} in distinct "
+            f"classes of P^{r - 1}(F_{p}), above the cap {MAX_ATTEMPT_LABELS}"
+        )
+    width, _ = _row_width(count, p, r, per)
+    classes = (size - 1) // (p - 1)
+    labels, class_of = _label_tables(p, r)
+    coeffs, words, decode, per_word = _stage_tables(_completion_matrix(table)[n - 1:].T, labels, p)
+    stages = np.array_split(coeffs, 3, axis=1)
+    word_count = len(words)
+
+    # sort keys [C - class | position | label row]: the zero label and
+    # void draws (t >= p^r - 1, clipped to it) sort first, as class C
+    label_bits = (size - 1).bit_length()
+    low = (width - 1).bit_length() + label_bits
+    key_dtype = np.int32 if classes + 1 << low < 2**31 else np.int64
+    positions = (np.arange(width) << label_bits).astype(key_dtype)
+    cols = coeffs.shape[1]
+    block = ACCEPTANCE_BLOCK
+    # the per-block arrays, allocated once per call, so that no block maps
+    # or faults in memory of its own; a stage's arrays are cut from flat
+    # ones as wide as the widest stage
+    uniform = np.empty((block, width), dtype=np.float32)
+    order = np.empty((block, width), dtype=key_dtype)
+    flags = np.empty((block, width), dtype=key_dtype)
+    repeat = np.empty((block, width), dtype=bool)
+    drawn = np.empty((block, count), dtype=np.intp)
+    keys = np.empty((block, count + cols), dtype=class_of.dtype)
+    stacked = np.empty((word_count, block, count), dtype=np.float32)
+    flat = block * max(part.shape[1] for part in stages)
+    sums = np.empty(flat, dtype=np.float32)
+    wide = np.empty(flat, dtype=np.intp)
+    parts = np.empty(flat, dtype=decode.dtype)
+    label = np.empty(flat, dtype=decode.dtype)
+    new = np.empty(flat, dtype=class_of.dtype)
     rng = np.random.default_rng(seed)
-    # one buffer for the drawn keys: a fresh array per block is large
-    # enough to be mapped and faulted in again each time
-    drawn_keys = np.empty((ACCEPTANCE_BLOCK, n - 1), dtype=np.int32)
     successes = 0
     done = 0
     while done < attempts:
-        draws = rng.integers(0, p**r, size=(ACCEPTANCE_BLOCK, n - 1), dtype=np.int32)
-        keys = np.take(key_of, draws, out=drawn_keys)
-        kept = np.flatnonzero(distinct_nonzero(keys))[: attempts - done]
-        done += kept.size
-        keys = keys[kept]
-        # digits[k, j] holds digit j, in base p, of each label drawn in attempt k
-        rest = draws[kept].astype(np.float32)
-        digits = np.empty((kept.size, r, n - 1), dtype=np.float32)
-        for j in range(r - 1, -1, -1):
-            rest, digits[:, j] = _floor_divmod(rest, p)
-        for coeffs in stages:
-            labels = _floor_divmod(digits @ coeffs, p)[1]
-            keys = np.concatenate([keys, key_of[_base_p(labels, p)]], axis=1)
-            alive = distinct_nonzero(keys)
-            digits, keys = digits[alive], keys[alive]
-        successes += keys.shape[0]
+        rng.random(out=uniform, dtype=np.float32)
+        np.multiply(uniform, 2**24, out=uniform)
+        np.copyto(order, uniform, casting="unsafe")
+        np.floor_divide(order, per, out=order)
+        np.minimum(order, size - 1, out=order)
+        np.floor_divide(order, p - 1, out=flags)
+        np.subtract(classes, flags, out=flags)
+        flags <<= low
+        order |= flags
+        order |= positions
+        order.sort(axis=1)
+        # a label is kept when it is the first of its class, and not zero
+        np.right_shift(order, low, out=flags)
+        np.equal(flags.ravel()[1:], flags.ravel()[:-1], out=repeat.ravel()[1:])
+        np.equal(flags[:, 0], 0, out=repeat[:, 0])
+        # kept labels first, each part in position order
+        order &= (1 << low) - 1
+        np.left_shift(repeat, low, out=flags, dtype=key_dtype)
+        order |= flags
+        order.sort(axis=1)
+        alive = order[:, count - 1] < 1 << low
+        rows = np.flatnonzero(alive)[: attempts - done]
+        # rows after the last attempt still to count are dropped
+        alive[rows[-1] + 1 if rows.size else 0:] = False
+        done += rows.size
+        np.bitwise_and(order[:, :count], (1 << label_bits) - 1, out=drawn)
+        np.floor_divide(drawn, p - 1, out=keys[:, :count], casting="unsafe")
+        for k in range(word_count):
+            np.take(words[k], drawn, out=stacked[k], mode="clip")
+        live = block
+        held = count
+        for part in stages:
+            if not live:
+                break
+            c = part.shape[1]
+            out = sums[: live * c].reshape(live, c)
+            at = wide[: live * c].reshape(live, c)
+            digits = parts[: live * c].reshape(live, c)
+            vector = label[: live * c].reshape(live, c)
+            # the label's base-p value, word after word
+            vector[...] = 0
+            for k in range(word_count):
+                _stage_sums(stacked[k, :live], part, out)
+                np.copyto(at, out, casting="unsafe")
+                np.take(decode, at, out=digits, mode="clip")
+                vector *= p**per_word
+                vector += digits
+            np.copyto(at, vector)
+            ids = new[: live * c].reshape(live, c)
+            np.take(class_of, at, out=ids, mode="clip")
+            keys[:live, held:held + c] = ids
+            held += c
+            alive &= distinct_nonzero(keys[:live, :held])
+            rows = np.flatnonzero(alive)
+            live = rows.size
+            keys[:live, :held] = keys[rows, :held]
+            stacked[:, :live] = stacked[:, rows]
+            alive = np.ones(live, dtype=bool)
+        successes += live
     return successes, attempts
-
-
-# ---------------------------------------------------------------------------
-# the critical character systems at a triple point
 
 
 def critical_chi_solutions(line_labels, p: int) -> list[AffineSolutionSet | None]:

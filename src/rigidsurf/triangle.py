@@ -32,7 +32,6 @@ from .projective import (
     ProjectiveLine,
     ProjectivePoint,
     cross,
-    dot,
     incident,
     join,
     line,
@@ -99,29 +98,6 @@ class Solution:
     L_R: ProjectiveLine
 
 
-def _projection_matrix(center: ProjectivePoint, target: ProjectiveLine):
-    """3x3 integer matrix of projection from ``center`` onto ``target``.
-
-    x maps to (C.M) x - (M.x) C, the intersection of line(C, x) with M.
-    """
-    c = center.coords
-    m = target.coeffs
-    d = dot(c, m)
-    if d == 0:
-        raise DegenerateProjection(f"center {center} lies on target {target}")
-    return [
-        [d * (1 if i == j else 0) - c[i] * m[j] for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _matmul3(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
 def _normalize_matrix2(m: Matrix2) -> Matrix2:
     flat = [m[0][0], m[0][1], m[1][0], m[1][1]]
     g = 0
@@ -150,18 +126,24 @@ def composite_projectivity(data: TriangleData) -> Matrix2:
     then from P onto {x1=0}, restricted to {x1=0} and expressed in the
     chart of the module docstring.  Raises DegenerateProjection when a
     center sits on its target line.
+
+    Projection from C onto the line M sends x to (C.M) x - (M.x) C.
+    From R onto {x2=0} the point (a : 0 : b) goes to (r2 a - r0 b :
+    -r1 b : 0), then from Q onto {x0=0} and from P onto {x1=0}; the
+    product of the three 3x3 matrices, restricted to the middle axis and
+    conjugated by the chart diag(1, -1), is the 2x2 below.
     """
-    t = _matmul3(
-        _projection_matrix(data.P, AXIS_Y),
-        _matmul3(
-            _projection_matrix(data.Q, AXIS_X),
-            _projection_matrix(data.R, AXIS_Z),
-        ),
-    )
-    assert t[1][0] == 0 and t[1][2] == 0, "composite must preserve the middle axis"
-    # chart (a:0:b) -> (a,-b) conjugates the raw restriction by diag(1,-1)
-    raw = ((t[0][0], -t[0][2]), (-t[2][0], t[2][2]))
-    return _normalize_matrix2(raw)
+    p0, p1, p2 = data.P.coords
+    q0, q1, q2 = data.Q.coords
+    r0, r1, r2 = data.R.coords
+    if q0 == 0:
+        raise DegenerateProjection(f"center {data.Q} lies on target {AXIS_X}")
+    if r2 == 0:
+        raise DegenerateProjection(f"center {data.R} lies on target {AXIS_Z}")
+    return _normalize_matrix2((
+        (p0 * q1 * r2, p0 * (q1 * r0 - q0 * r1)),
+        (r2 * (p1 * q2 - p2 * q1), p1 * q2 * r0 + p2 * q0 * r1 - p2 * q1 * r0),
+    ))
 
 
 def chart_to_plane(p: ProjectivePoint) -> ProjectivePoint:
@@ -230,9 +212,8 @@ def classify(P: ProjectivePoint, Q: ProjectivePoint, R: ProjectivePoint) -> Clas
     """
     delta = discriminant(P, Q, R)
     try:
-        data = TriangleData(P, Q, R)
-        m = composite_projectivity(data)
-    except (ValueError, DegenerateProjection) as exc:
+        m = composite_projectivity(TriangleData(P, Q, R))
+    except ValueError as exc:
         return Classification(Kind.DEGENERATE, None, delta, (), 0, False, str(exc))
     if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
         return Classification(

@@ -1,6 +1,7 @@
+import functools
 import random
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from rigidsurf import cover
 from rigidsurf.arrangement import BASE_POINTS, Arrangement, closure, singular_points
 from rigidsurf.cover import (
-    ACCEPTANCE_BLOCK,
     LabelMap,
     acceptance_estimate,
     all_characters,
@@ -426,31 +426,54 @@ def test_search_replays_the_one_label_stream_on_the_bundled_table(table, p, r, s
         assert (result.labels, result.attempts) == _one_label_at_a_time_search(table, p, r, seed)
 
 
-def _one_shot_acceptance(table, p, r, seed, attempts):
-    """The acceptance loop without staged rejection.
+@functools.cache
+def _class_representatives(p, r):
+    """The labels whose first nonzero entry is 1, ordered by their base-p value."""
+    vectors = (tuple(x // p ** (r - 1 - e) % p for e in range(r)) for x in range(1, p**r))
+    return [v for v in vectors if v[next(e for e in range(r) if v[e])] == 1]
 
-    Kept as an oracle: every attempt's labels are completed in full and
-    all n + m class keys are checked in one sort.  Labels are drawn as
-    empirical_acceptance draws them, one uniform index into (Z/p)^r each.
+
+def _label_of(t, p, r):
+    """Label t of the acceptance draw: (t mod (p - 1) + 1) times the
+    representative of class t // (p - 1); None for t >= p^r - 1, a
+    skipped draw."""
+    if t >= p**r - 1:
+        return None
+    return tuple((t % (p - 1) + 1) * x % p for x in _class_representatives(p, r)[t // (p - 1)])
+
+
+def _scalar_acceptance(table, p, r, seed, attempts):
+    """The row sampler one attempt at a time, with no staging and no packing.
+
+    Kept as the oracle of empirical_acceptance: each row is ``width``
+    consecutive float32 draws u, label t = floor(2^24 u) // (2^24 // p^r);
+    a row keeps its first n - 1 labels in distinct classes, skipping zero
+    ones, is not counted when it holds fewer, and otherwise succeeds when
+    its completed label map has all n + m labels nonzero and in distinct
+    classes.
     """
     n = len(table.arrangement.lines)
-    powers = p ** np.arange(r - 1, -1, -1, dtype=np.int32)
-    key_of = class_keys(np.arange(p**r)[:, None] // powers % p, p).astype(np.int32)
-    inc_t = table.incidence.T.astype(np.float64)
+    per = 2**24 // p**r
+    width, _ = cover._row_width(n - 1, p, r, per)
+    labels = {}
     rng = np.random.default_rng(seed)
-    successes = 0
-    done = 0
+    successes = done = 0
     while done < attempts:
-        index = rng.integers(0, p**r, size=(ACCEPTANCE_BLOCK, n - 1), dtype=np.int32)
-        kept = np.flatnonzero(distinct_nonzero(key_of[index]))[: attempts - done]
-        draws = (index[kept][:, :, None] // powers % p).astype(np.int32)
-        last = -draws.sum(axis=1) % p
-        lines_all = np.concatenate([draws, last[:, None, :]], axis=1)
-        sums = lines_all.transpose(0, 2, 1).astype(np.float64) @ inc_t
-        points = sums.astype(np.int32).transpose(0, 2, 1) % p
-        keys = key_of[np.concatenate([lines_all, points], axis=1) @ powers]
-        successes += int(distinct_nonzero(keys).sum())
-        done += kept.size
+        kept, seen = [], set()
+        for u in rng.random(size=width, dtype=np.float32).tolist():
+            t = int(u * 2**24) // per
+            if t not in labels:
+                labels[t] = _label_of(t, p, r)
+            lab = labels[t]
+            key = lab and projective_label(lab, p)
+            if key and key not in seen and len(kept) < n - 1:
+                seen.add(key)
+                kept.append(lab)
+        if len(kept) < n - 1:
+            continue
+        done += 1
+        classes = [projective_label(lab, p) for lab in complete_labels(kept, table, p, r).all_labels]
+        successes += None not in classes and len(set(classes)) == len(classes)
     return successes, attempts
 
 
@@ -459,7 +482,7 @@ def _one_shot_acceptance(table, p, r, seed, attempts):
     [
         # six lines and four triple points in (Z/7)^3: about half the
         # attempts pass, so every stage sees survivors
-        (True, 7, 3, 2, 1),
+        (True, 7, 3, 1, 1),
         (True, 7, 3, 2, 1_999),
         (True, 7, 3, 3, 2_001),
         (True, 7, 3, 4, 4_567),
@@ -468,10 +491,10 @@ def _one_shot_acceptance(table, p, r, seed, attempts):
         (False, 7, 5, 8, 3_001),
     ],
 )
-def test_staged_acceptance_matches_one_shot_oracle(table, quadrilateral, p, r, seed, attempts):
+def test_staged_acceptance_matches_scalar_oracle(table, quadrilateral, p, r, seed, attempts):
     if quadrilateral:
         table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
-    expected = _one_shot_acceptance(table, p, r, seed, attempts)
+    expected = _scalar_acceptance(table, p, r, seed, attempts)
     assert empirical_acceptance(table, p, r, seed, attempts) == expected
     assert expected[0] > 0
 
@@ -482,24 +505,24 @@ def test_empirical_acceptance_seeded_reproducible(table):
     assert a == b
 
 
-# counts of the one-shot oracle above, which checks all labels at once; the
-# cases straddle blocks of 2,000 attempts and the 50,000 of an earlier batch
+# counts of the scalar oracle above; the cases end inside a block of rows
+# and straddle the 50,000 attempts of an earlier batch
 @pytest.mark.parametrize(
     "p, r, seed, attempts, expected",
     [
-        (7, 4, 20240601, 100_000, 26),
-        (7, 4, 2, 49_999, 15),
-        (7, 4, 4, 123_457, 28),
-        (7, 5, 5, 30_000, 10043),
-        (11, 4, 6, 20_000, 2399),
-        (5, 5, 7, 20_000, 365),
+        (7, 4, 20240601, 100_000, 31),
+        (7, 4, 2, 49_999, 13),
+        (7, 4, 4, 123_457, 31),
+        (7, 5, 5, 30_000, 10148),
+        (11, 4, 6, 20_000, 2353),
+        (5, 5, 7, 20_000, 348),
     ],
 )
 def test_empirical_acceptance_golden_counts(table, p, r, seed, attempts, expected):
     assert empirical_acceptance(table, p, r, seed, attempts) == (expected, attempts)
 
 
-@pytest.mark.parametrize("block", [700, 5_000])
+@pytest.mark.parametrize("block", [1_000, 1_999, 5_000])
 def test_empirical_acceptance_does_not_depend_on_the_block(table, monkeypatch, block):
     expected = empirical_acceptance(table, 7, 5, 9, 12_345)
     monkeypatch.setattr(cover, "ACCEPTANCE_BLOCK", block)
@@ -528,15 +551,74 @@ def test_empirical_acceptance_matches_exact_enumeration():
         assert abs(successes / attempts - rate) <= 4 * sigma
 
 
+@pytest.mark.parametrize("width", range(1, 8))
+def test_skip_probabilities_match_enumeration_of_rows(width):
+    # (Z/2)^4: each of the 16 equally likely draws is a class of its own
+    # but the 16th, skipped; every row of ``width`` draws is enumerated by
+    # the bit mask of the classes it holds
+    bits = np.append(1 << np.arange(15), 0).astype(np.uint16)
+    masks = np.zeros(1, dtype=np.uint16)
+    for _ in range(width - 1):
+        masks = (masks[:, None] | bits).ravel()
+    held = np.array([bin(m).count("1") for m in range(2**15)], dtype=np.int8)
+    rows = np.zeros(width + 1, dtype=np.int64)
+    for b in bits.tolist():
+        rows += np.bincount(held[masks | b], minlength=width + 1)
+    assert rows.sum() == 16**width
+    for count in range(1, 16):
+        skip = next(islice(cover._skip_probabilities(count, 2, 4, 2**20), width - 1, None))
+        assert skip == pytest.approx(rows[:count].sum() / 16**width, abs=1e-12)
+
+
+def test_row_width_keeps_almost_every_row():
+    # the bundled table in (Z/7)^4: 33 drawn labels in 400 classes; rows
+    # of 33 keep only a quarter, rows of 38 all but 0.5%
+    per = 2**24 // 7**4
+    width, skip = cover._row_width(33, 7, 4, per)
+    assert (width, round(skip, 4)) == (38, 0.0046)
+    assert next(islice(cover._skip_probabilities(33, 7, 4, per), 32, None)) == pytest.approx(0.7469, abs=1e-4)
+    assert next(islice(cover._skip_probabilities(33, 7, 4, per), width - 2, None)) >= cover.ROW_SKIP
+
+
+def _generic_lines(n):
+    # lines dual to points of a conic: no three meet, so there are no
+    # singular points
+    return singular_points(Arrangement(tuple(line(1, k, k * k) for k in range(n))))
+
+
+def test_empirical_acceptance_runs_when_every_class_is_drawn():
+    # 15 drawn labels in the 15 classes of P^3(F_2): whole rows of 15
+    # are all distinct with probability about 1e-6, so rejecting rows
+    # hung; the row sampler reads about 114 labels per attempt.  The last
+    # line's label, the sum of every nonzero vector, is zero
+    table = _generic_lines(16)
+    assert cover._row_width(15, 2, 4, 2**20)[0] == 114
+    assert empirical_acceptance(table, 2, 4, seed=3, attempts=2_000) == (0, 2_000)
+
+
+def test_empirical_acceptance_refuses_rows_beyond_the_cap(table):
+    # 63 drawn labels in the 63 classes of P^5(F_2) take 64 H_63, about
+    # 303, labels per attempt on average
+    with pytest.raises(ValueError, match=r"reads 303 labels on average to find 63 .* P\^5\(F_2\), above the cap 256"):
+        empirical_acceptance(_generic_lines(64), 2, 6, seed=1, attempts=10)
+    # the bundled table's 33 drawn labels in P^5(F_2) take about 47
+    assert cover._mean_labels(33, 2, 6, 2**18) == pytest.approx(64 * sum(1 / k for k in range(31, 64)))
+
+
 def test_empirical_acceptance_memory_does_not_grow_with_attempts(table):
-    table.incidence  # cached before tracing
-    tracemalloc.start()
-    try:
-        empirical_acceptance(table, 7, 4, seed=20240601, attempts=100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # the buffers of one block, allocated once per call, are the peak;
+    # a first call imports numpy.random before tracing
+    empirical_acceptance(table, 7, 4, seed=1, attempts=1)
+    peaks = []
+    for attempts in (50_000, 100_000):
+        tracemalloc.start()
+        try:
+            empirical_acceptance(table, 7, 4, seed=20240601, attempts=attempts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2 * 2**20
+    assert peaks[1] <= peaks[0] + 2**16
 
 
 def test_empirical_acceptance_refuses_large_key_table(table):

@@ -23,8 +23,8 @@ def test_search_experiments_prints_acceptance(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["search_experiments.py", "--attempts", "2000", "--triples", "1"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "label search acceptance: 0/2000 = 0.000000"
-    assert lines[1] == "birthday estimate:       0.000255  (deviation 0.71 sigma)"
+    assert lines[0] == "label search acceptance: 1/2000 = 0.000500"
+    assert lines[1] == "birthday estimate:       0.000255  (deviation 0.68 sigma)"
     assert lines[2].startswith("first valid label map after ")
     assert len([line for line in lines if line.startswith("  (")]) == 1
 
@@ -61,19 +61,36 @@ def test_search_split_prints_the_four_parts(monkeypatch, capsys):
     assert parts["triangles"]["triples"] == 100
 
 
-def test_search_workload_does_not_import_numpy_ma():
+def test_search_and_certificate_do_not_import_numpy_ma():
     # numpy.ma is imported by the first np.unique(axis=0), at a cost of
-    # tens of milliseconds; none of the search workload's calls needs it
+    # tens of milliseconds and 4.8 MB of resident memory; neither a search
+    # workload repetition nor a certificate needs it
     src = str(SCRIPTS.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import runpy, sys\n"
         f"sys.argv = ['search_split.py', '--seed', '1']\n"
         f"runpy.run_path({str(SCRIPTS / 'search_split.py')!r}, run_name='__main__')\n"
+        "from rigidsurf.arrangement import build_heart\n"
+        "from rigidsurf.certify import full_certificate\n"
+        "assert full_certificate(build_heart()).ok\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert json.loads(lines[0])["parts"]["label_search"]["attempts"] > 0
     assert lines[1] == "False"
+
+
+def test_search_split_repeats_in_fresh_processes(monkeypatch, capsys):
+    script = load_script("search_split")
+    monkeypatch.setattr(sys, "argv", ["search_split.py", "--seed", "2", "--repeat", "3"])
+    script.main()
+    report = json.loads(capsys.readouterr().out)
+    assert (report["seed"], report["repeat"]) == (2, 3)
+    for part in report["parts"].values():
+        for metric in ("wall_s", "minflt"):
+            runs = part[f"{metric}_runs"]
+            assert len(runs) == 3 and part[metric] == sorted(runs)[1]
+

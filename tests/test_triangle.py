@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidsurf import triangle
 from rigidsurf.projective import incident, point
@@ -214,3 +217,86 @@ def test_search_stops_at_the_attempt_cap(monkeypatch, cap):
         got = search_double_point(1, 40, seed)
         assert got == _one_draw_at_a_time_search(1, 40, seed)
         assert len(got) < 20
+
+
+# ---------------------------------------------------------------------------
+# classify against the composite of three 3 x 3 projection matrices
+
+
+def _projection_matrix(center, target):
+    """x maps to (C.M) x - (M.x) C, the intersection of line(C, x) with M."""
+    c, m = center.coords, target.coeffs
+    d = sum(a * b for a, b in zip(c, m))
+    if d == 0:
+        raise triangle.DegenerateProjection(f"center {center} lies on target {target}")
+    return [[d * (i == j) - c[i] * m[j] for j in range(3)] for i in range(3)]
+
+
+def _matmul3(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _matrix_composite(data):
+    """The composite as it was built before the closed formula: three 3 x 3
+    products, restricted to the middle axis, in the chart."""
+    t = _matmul3(
+        _projection_matrix(data.P, AXIS_Y),
+        _matmul3(_projection_matrix(data.Q, AXIS_X), _projection_matrix(data.R, AXIS_Z)),
+    )
+    assert t[1][0] == 0 and t[1][2] == 0
+    return triangle._normalize_matrix2(((t[0][0], -t[0][2]), (-t[2][0], t[2][2])))
+
+
+def _matrix_classify(P, Q, R):
+    """classify with the matrix composite: the oracle of the closed formula."""
+    delta = discriminant(P, Q, R)
+    try:
+        m = _matrix_composite(TriangleData(P, Q, R))
+    except ValueError as exc:
+        return triangle.Classification(Kind.DEGENERATE, None, delta, (), 0, False, str(exc))
+    if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
+        return triangle.Classification(Kind.DEGENERATE, m, delta, (), 0, False, "composite not invertible")
+    disc, vecs, rational = triangle._eigen_fixed_vectors(m)
+    if vecs is None:
+        return triangle.Classification(Kind.DEGENERATE, m, delta, (), 0, True, "composite is scalar")
+    points = tuple(point(v[0], 0, v[1]) for v in vecs)
+    if disc == 0:
+        return triangle.Classification(Kind.DOUBLE_POINT, m, delta, points, 1, True)
+    return triangle.Classification(Kind.TWO_REDUCED_POINTS, m, delta, points, 2, rational)
+
+
+# coordinates of height at most 50, with zeros and repeated points drawn often
+_coordinate = st.one_of(st.integers(-50, 50), st.sampled_from([0, 0, 1, -1]))
+_point = st.tuples(_coordinate, _coordinate, _coordinate).filter(any).map(point)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point, _point, _point, st.sampled_from(["distinct", "P=Q", "Q=R", "P=Q=R"]))
+def test_classify_matches_the_matrix_composite(P, Q, R, tie):
+    if tie in ("P=Q", "P=Q=R"):
+        Q = P
+    if tie in ("Q=R", "P=Q=R"):
+        R = Q
+    assert classify(P, Q, R) == _matrix_classify(P, Q, R)
+    try:
+        expected = _matrix_composite(TriangleData(P, Q, R))
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            composite_projectivity(TriangleData(P, Q, R))
+    else:
+        assert composite_projectivity(TriangleData(P, Q, R)) == expected
+
+
+def test_classify_matches_the_matrix_composite_on_degenerate_cases():
+    # a center on the middle axis, Q on {x0=0}, R on {x2=0}, and both
+    cases = [
+        (point(1, 0, 2), point(1, 1, 1), point(1, 2, 3)),
+        (point(1, 1, 1), point(0, 1, 2), point(1, 2, 3)),
+        (point(1, 1, 1), point(1, 2, 3), point(1, 2, 0)),
+        (point(1, 1, 1), point(0, 1, 2), point(1, 2, 0)),
+        (point(0, 1, 0), point(1, 1, 0), point(0, 1, 1)),
+        EXAMPLE,
+        HEART,
+    ]
+    for P, Q, R in cases:
+        assert classify(P, Q, R) == _matrix_classify(P, Q, R)
