@@ -1,31 +1,60 @@
 #!/usr/bin/env python3
-"""Time the four parts of one seeded ``search`` benchmark repetition.
+"""Time the parts of one seeded ``search`` or ``certify-1w`` benchmark repetition.
 
-The inputs are those of ``perfbench/workloads.py`` for the given seed:
-20 label searches, one empirical acceptance count, the waves schedule
-plus 10 seeded elimination schedules, and 10 double-point scans.  Each
-part runs once, in the benchmark's order, and prints as one JSON object
-with its wall time, the minor page faults it took (``ru_minflt``) and a
-short summary of its output.  With ``--repeat N`` the repetition runs in
-N fresh processes, one after the other, and the object gives each part's
-median wall time and faults over them, with the N values.
+The inputs are those of ``perfbench/workloads.py`` for the given seed.
+A ``search`` repetition has four parts: 20 label searches, one
+empirical acceptance count, the waves schedule plus 10 seeded
+elimination schedules, and 10 double-point scans.  A ``certify-1w``
+repetition is one ``full_certificate`` with 1 worker and its
+``to_json``; its parts are the ``Certificate.timings`` sections, the
+crossing map and ``build_sweep`` (which run outside them) and
+``to_json``.  Each part runs once, in the benchmark's order, and prints
+as one JSON object with its wall time, the minor page faults it took
+(``ru_minflt``) and a short summary of its output.  A ``certify-1w``
+part also gives ``peak_mib``, the most memory ``tracemalloc`` saw it
+hold above what it started with, taken from a second, traced
+certificate in the same process, and the object gives the traced peak
+of one whole certificate and its JSON.  With ``--repeat N`` the
+repetition runs in N fresh processes, one after the other, and the
+object gives each part's median of every metric over them, with the N
+values.
 
     PYTHONPATH=src python scripts/search_split.py --seed 1
     PYTHONPATH=src python scripts/search_split.py --seed 1 --repeat 5
+    PYTHONPATH=src python scripts/search_split.py --workload certify-1w --seed 1 --repeat 5
 """
 
 import argparse
+import hashlib
 import json
 import resource
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
+
+# the functions full_certificate calls, by the part they are reported in:
+# the Certificate.timings section they run in, or the crossing map and
+# build_sweep, which run outside the sections
+CERTIFY_PARTS = {
+    "intersection_points": "crossings",
+    "singular_points": "crossings",
+    "check_structure": "incidence",
+    "certify_double_point": "incidence",
+    "validate_labels": "building_data",
+    "check_ample": "ampleness",
+    "build_sweep": "build_sweep",
+    "check_condition_a": "condition_a",
+    "check_condition_b": "condition_b",
+    "check_condition_c": "condition_c",
+    "invariants": "invariants",
+}
 
 
 def _timed(call):
@@ -39,20 +68,37 @@ def _timed(call):
     }
 
 
+def _traced(call):
+    """``_timed``, plus the traced peak above the start when tracemalloc is on."""
+    if not tracemalloc.is_tracing():
+        return _timed(call)
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    out, part = _timed(call)
+    part["peak_mib"] = round((tracemalloc.get_traced_memory()[1] - held) / 2**20, 3)
+    return out, part
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", choices=("search", "certify-1w"), default="search")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=1, help="fresh processes to take medians over")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     if args.repeat > 1:
-        print(json.dumps(_medians(args.seed, args.repeat)))
-        return
+        print(json.dumps(_medians(args.workload, args.seed, args.repeat)))
+    elif args.workload == "certify-1w":
+        print(json.dumps(_certify_parts(args.seed)))
+    else:
+        print(json.dumps(_search_parts(args.seed)))
 
+
+def _search_parts(seed: int) -> dict:
     from rigidsurf import cover, incidence, triangle
 
-    inputs = workloads.setup("search", args.seed)
+    inputs = workloads.setup("search", seed)
     table, problem = inputs["table"], inputs["problem"]
     parts = {}
 
@@ -84,25 +130,88 @@ def main():
     parts["triangles"]["triples"] = len(triples)
 
     total = round(sum(part["wall_s"] for part in parts.values()), 4)
-    print(json.dumps({"seed": args.seed, "total_wall_s": total, "parts": parts}))
+    return {"seed": seed, "total_wall_s": total, "parts": parts}
 
 
-def _medians(seed: int, repeat: int) -> dict:
-    """Each part's median wall time and faults over ``repeat`` fresh processes."""
+def _certify_parts(seed: int) -> dict:
+    """Wall time and faults of each part of the first certificate, peaks of a second, traced one."""
+    from rigidsurf import certify
+
+    inputs = workloads.setup("certify-1w", seed)
+    originals = {name: getattr(certify, name) for name in CERTIFY_PARTS}
+    parts = {}
+
+    def wrapped(name, inner):
+        def call(*args, **kwargs):
+            out, part = _traced(lambda: inner(*args, **kwargs))
+            into = parts.setdefault(CERTIFY_PARTS[name], {})
+            for metric, value in part.items():
+                # the parts of a section run one after the other
+                into[metric] = max(into.get(metric, 0), value) if metric == "peak_mib" else into.get(metric, 0) + value
+            return out
+
+        return call
+
+    def certificate():
+        cert = certify.full_certificate(inputs["heart"], threads=inputs["threads"])
+        text, parts["to_json"] = _traced(lambda: cert.to_json(include_timings=False))
+        return text
+
+    try:
+        for name, inner in originals.items():
+            setattr(certify, name, wrapped(name, inner))
+        text = certificate()
+        first = dict(parts)
+        parts.clear()
+        tracemalloc.start()
+        try:
+            certificate()
+        finally:
+            tracemalloc.stop()
+    finally:
+        for name, inner in originals.items():
+            setattr(certify, name, inner)
+    for name, part in first.items():
+        part["wall_s"] = round(part["wall_s"], 4)
+        part["peak_mib"] = parts[name]["peak_mib"]
+
+    tracemalloc.start()
+    try:
+        certify.full_certificate(inputs["heart"], threads=inputs["threads"]).to_json(include_timings=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "workload": "certify-1w",
+        "seed": seed,
+        "digest": hashlib.sha256(text.encode()).hexdigest(),
+        "total_wall_s": round(sum(part["wall_s"] for part in first.values()), 4),
+        "peak_mib": round(peak / 2**20, 3),
+        "parts": first,
+    }
+
+
+def _medians(workload: str, seed: int, repeat: int) -> dict:
+    """Each part's median of each metric over ``repeat`` fresh processes."""
     runs = []
     for _ in range(repeat):
         done = subprocess.run(
-            [sys.executable, __file__, "--seed", str(seed)], capture_output=True, text=True, check=True
+            [sys.executable, __file__, "--workload", workload, "--seed", str(seed)],
+            capture_output=True,
+            text=True,
+            check=True,
         )
         runs.append(json.loads(done.stdout)["parts"])
     parts = {}
     for name in runs[0]:
         parts[name] = {}
-        for metric in ("wall_s", "minflt"):
+        for metric in ("wall_s", "minflt", "peak_mib"):
+            if metric not in runs[0][name]:
+                continue
             values = [run[name][metric] for run in runs]
             parts[name][metric] = statistics.median(values)
             parts[name][f"{metric}_runs"] = values
-    return {"seed": seed, "repeat": repeat, "parts": parts}
+    return {"workload": workload, "seed": seed, "repeat": repeat, "parts": parts}
 
 
 if __name__ == "__main__":

@@ -183,6 +183,18 @@ def gather_index(incidence) -> np.ndarray:
     return cols
 
 
+def narrow_dtype(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds every integer of absolute value <= ``bound``."""
+    return next((d for d in (np.int16, np.int32) if bound <= np.iinfo(d).max), np.int64)
+
+
+def narrowed(values, bound: int) -> np.ndarray:
+    """``values``, checked to lie within +-``bound``, in its :func:`narrow_dtype` (a copy only if cast)."""
+    values = np.asarray(values)
+    assert -bound <= values.min(initial=0) and values.max(initial=0) <= bound, f"values exceed {bound}"
+    return values.astype(narrow_dtype(bound), copy=False)
+
+
 def gather_sums(values, index) -> np.ndarray:
     """:func:`incidence_sums` over an incidence given by its :func:`gather_index`.
 
@@ -190,25 +202,24 @@ def gather_sums(values, index) -> np.ndarray:
     """
     values = np.asarray(values)
     width = index.shape[1]
-    bound = width * max(abs(int(values.max(initial=0))), abs(int(values.min(initial=0))))
-    dtype = next((d for d in (np.int16, np.int32) if bound <= np.iinfo(d).max), np.int64)
+    dtype = narrow_dtype(width * max(abs(int(values.max(initial=0))), abs(int(values.min(initial=0)))))
     padded = np.zeros((values.shape[1] + 1, values.shape[0]), dtype=dtype)
     padded[:-1] = values.T
     out = np.zeros((index.shape[0], values.shape[0]), dtype=dtype)
     for c in range(width):
         out += padded[index[:, c]]
-    return out.T.astype(np.int64, order="C")
+    return np.ascontiguousarray(out.T)
 
 
 def incidence_sums(values, incidence) -> np.ndarray:
-    """``values @ incidence.T`` for a 0/1 ``incidence``, exactly, as C-ordered int64.
+    """``values @ incidence.T`` for a 0/1 ``incidence``, exactly and C-ordered.
 
     Entry (k, j) adds the entries of row k of ``values`` over the columns
     in row j of ``incidence``.  With at most w members in a row, that is
     w gathers of rows of the transposed values, padded with a zero row,
-    added in the narrowest of int16, int32 and int64 that holds w times
-    the largest absolute value.  On 2 cores this was 5-10 times faster
-    than numpy's int64 matmul, which has no BLAS, on the sweep's
+    added in the :func:`narrow_dtype` of w times the largest absolute
+    value, which is the dtype returned.  On 2 cores this was 5-10 times
+    faster than numpy's int64 matmul, which has no BLAS, on the sweep's
     products; float BLAS, threaded by default, was slower still.  A
     caller that sums over one incidence many times builds its
     :func:`gather_index` once and calls :func:`gather_sums`.
@@ -524,6 +535,8 @@ __all__ = [
     "intersection_points",
     "load_heart_construction",
     "load_heart_table",
+    "narrow_dtype",
+    "narrowed",
     "parse_label_table",
     "singular_points",
     "sub_crossings",

@@ -3,7 +3,7 @@ all nontrivial characters, ampleness of the canonical class downstairs,
 numerical invariants of the cover, and the consolidated certificate.
 
 The character sweep is exact throughout: lattice arithmetic is plain
-integer arithmetic (vectorized in int64, far from overflow), and every
+integer arithmetic (narrowed to proven bounds, summed in int64), and every
 cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
 Condition (a) runs one batched regularity scan per worker: it starts
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__
 from .arrangement import HeartData, IncidenceTable, check_structure, singular_points
-from .arrangement import incidence_sums, intersection_points
-from .cohomology import fat_points, h0_h1, regularities
+from .arrangement import incidence_sums, intersection_points, narrow_dtype, narrowed
+from .cohomology import fat_degrees, fat_points, h0_h1, regularities
 # unused here; perfbench's self-test reads certify.h1_is_zero, so the name stays
 from .cohomology import h1_is_zero
 from .cover import LabelMap, label_map, validate_labels
@@ -47,7 +47,7 @@ from .picard import branch_class, canonical_class, intersect
 
 @dataclass
 class SweepData:
-    """Exact per-character lattice data for a label map on a table."""
+    """Exact per-character lattice data for a label map, narrowed to bounds by :func:`build_sweep`."""
 
     labels: LabelMap
     table: IncidenceTable
@@ -70,9 +70,9 @@ class SweepData:
         return incidence_sums(self.e_floor, self.inc.T)
 
 
-# build_sweep holds p^r x (r + n + 2m) int64 cells: the characters, the
-# line pairings, the E-pairings and the multiplicities.  The bundled
-# (Z/7)^4 sweep needs 336,140 of them; the cap is 128 MiB of int64.
+# build_sweep holds p^r x (r + n + 2m) cells: the characters, the line
+# pairings, the E-pairings and the multiplicities.  The bundled (Z/7)^4
+# sweep needs 336,140 of them, in int16; the cap counts cells, not bytes.
 MAX_SWEEP_CELLS = 2**24
 
 
@@ -80,8 +80,11 @@ def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
     """The lattice data of all p^r characters, in lexicographic order.
 
     ``e_floor`` sums the line pairings over the lines through each point
-    with :func:`incidence_sums`.  Raises ``ValueError`` before allocating
-    anything when the sweep arrays would exceed ``MAX_SWEEP_CELLS`` cells.
+    with :func:`incidence_sums`.  Each array is :func:`narrowed` to its
+    bound: p - 1 for the characters and pairings (reduced from products
+    of at most r(p - 1)^2), n(p - 1)/p for ``c_chi`` and mu_max(p - 1)/p
+    for ``e_floor``.  Raises ``ValueError`` before allocating anything
+    when the sweep arrays would exceed ``MAX_SWEEP_CELLS`` cells.
     """
     p, r = labels.p, labels.r
     cells = p**r * (r + len(table.arrangement.lines) + 2 * table.num_points)
@@ -91,18 +94,18 @@ def build_sweep(labels: LabelMap, table: IncidenceTable) -> SweepData:
             f"over the cap 2^24 = {MAX_SWEEP_CELLS}"
         )
     inc = table.incidence
-    chars = np.arange(p**r)[:, None] // p ** np.arange(r - 1, -1, -1) % p
-    line_arr = np.array(labels.line_labels, dtype=np.int64)
-    pair_lines = (chars @ line_arr.T) % p
-    total = pair_lines.sum(axis=1)
+    dtype = narrow_dtype(r * (p - 1) ** 2)
+    chars = np.indices((p,) * r, dtype=dtype).reshape(r, p**r).T
+    pair_lines = narrowed(chars @ np.array(labels.line_labels, dtype=dtype).T % p, p - 1)
+    total = pair_lines.sum(axis=1, dtype=np.int64)
     if (total % p).any():
         raise ArithmeticError("line labels violate divisibility")
-    c_chi = total // p
-    e_floor = incidence_sums(pair_lines, inc) // p
+    c_chi = narrowed(total // p, len(table.arrangement.lines) * (p - 1) // p)
+    e_floor = narrowed(incidence_sums(pair_lines, inc) // p, max(table.mu, default=0) * (p - 1) // p)
     return SweepData(
         labels=labels,
         table=table,
-        chars=chars,
+        chars=narrowed(chars, p - 1),
         c_chi=c_chi,
         e_floor=e_floor,
         d_chi=c_chi - 3,
@@ -159,8 +162,7 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     else:
         regs = regularities(points, mults)
 
-    fat = np.clip(mults, 0, None)
-    degrees = (fat * (fat + 1) // 2).sum(axis=1).tolist()
+    degrees = fat_degrees(np.clip(mults, 0, None)).tolist()
     twist = sweep.d_chi[1:]
     per_chi = list(zip(range(1, len(regs) + 1), regs.tolist(), twist.tolist()))
     h1_at_d = (twist >= np.maximum(regs - 1, 0)).tolist()
@@ -191,11 +193,12 @@ def check_condition_b(sweep: SweepData) -> ConditionBResult:
     Exceptional divisors need no search: their coefficient in every
     character class is nonpositive, so E.(E - L_chi) = -1 + coefficient
     is automatically negative.  ``exceptional_cross_check_ok`` recomputes
-    them anyway as a cross-check of that justification.
+    them anyway as a cross-check of that justification.  The values
+    (1 - k) - (c - e_on) are held in the dtype of their bound.
     """
-    d_dot_l = sweep.c_chi[:, None] - sweep.e_on_lines
-    self_int = 1 - sweep.k_points_on_line
-    values = self_int[None, :] - d_dot_l
+    bound = sweep.table.num_points + int(sweep.c_chi.max(initial=0)) + int(sweep.e_on_lines.max(initial=0))
+    values = np.subtract(sweep.e_on_lines, sweep.c_chi[:, None], dtype=narrow_dtype(bound))
+    values += 1 - sweep.k_points_on_line
     sub = values[1:]
     max_value = int(sub.max())
     flat = int(sub.argmax())
@@ -222,11 +225,10 @@ def admissible(sweep: SweepData) -> np.ndarray:
 
     Line i is admissible for a character when the pairing with its label
     avoids p - 1 and the hyperplane class minus the character class is
-    negative on its strict transform.
+    negative on its strict transform: 1 - c + e_on < 0.
     """
     p = sweep.labels.p
-    h_minus_l_dot_d = (1 - sweep.c_chi)[:, None] + sweep.e_on_lines
-    return (sweep.pair_lines != p - 1) & (h_minus_l_dot_d < 0)
+    return (sweep.pair_lines != p - 1) & (sweep.e_on_lines < (sweep.c_chi - 1)[:, None])
 
 
 def check_condition_c(sweep: SweepData) -> ConditionCResult:
@@ -239,7 +241,8 @@ def check_condition_c(sweep: SweepData) -> ConditionCResult:
     """
     counts = incidence_sums(admissible(sweep), sweep.inc)
     need = 2 - sweep.e_floor
-    slack = (counts - need)[1:]
+    bound = int(counts.max(initial=0)) + int(sweep.e_floor.max(initial=0)) + 2
+    slack = np.subtract(counts, need, dtype=narrow_dtype(bound))[1:]
     min_slack = int(slack.min())
     flat = int(slack.argmin())
     chi_idx, nu = divmod(flat, slack.shape[1])
@@ -329,9 +332,9 @@ def invariants(sweep: SweepData, cond_a: ConditionAResult) -> InvariantsResult:
     ample_div = p * ks + (p - 1) * b
     k2 = intersect(ample_div, ample_div) * p ** (r - 2)
 
-    inter = sweep.c_chi * (sweep.c_chi - 3) - (
-        (-sweep.e_floor) * (1 - sweep.e_floor)
-    ).sum(axis=1)
+    # row sums of (-e)(1 - e) = e^2 - e, in int64 without an int64 copy of e
+    c, e = sweep.c_chi.astype(np.int64), sweep.e_floor
+    inter = c * (c - 3) - (np.einsum("ij,ij->i", e, e, dtype=np.int64) - e.sum(axis=1, dtype=np.int64))
     if (inter % 2).any():
         raise ArithmeticError("character class Euler terms must be even")
     if inter[0] != 0:

@@ -36,7 +36,7 @@ from math import ceil, comb
 
 import numpy as np
 
-from .arrangement import IncidenceTable, gather_index, gather_sums, incidence_sums
+from .arrangement import IncidenceTable, gather_index, gather_sums, incidence_sums, narrow_dtype
 from .cover import LabelMap, chi_class
 from .modp import kernel_dtype, rank_mod, ranks_mod
 from .picard import canonical_class
@@ -360,6 +360,11 @@ def _line_bank(points) -> np.ndarray:
     return rows[first]
 
 
+def fat_degrees(mults) -> np.ndarray:
+    """The degree, sum of h(h + 1)/2, of each row of ``mults`` >= 0, in int64 without an int64 copy."""
+    return (np.einsum("ij,ij->i", mults, mults, dtype=np.int64) + mults.sum(axis=1, dtype=np.int64)) // 2
+
+
 def _fits(s, t):
     """Whether a line meeting the scheme in degree s may be residuated in degree t."""
     return (s > 0) & (s <= t + 1)
@@ -388,15 +393,14 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     infinitely many lines over Q, and only finitely many meet another
     point).  Each step takes the heaviest line allowed; a chain stops
     when none is, or when it empties the scheme.  Line sums come from
-    :func:`incidence_sums`; the multiplicities and degrees are held in
-    int16 whenever the sums and degrees fit.
+    :func:`incidence_sums`; the multiplicities and degrees t are held in
+    the :func:`narrow_dtype` of the largest line sum and degree.
 
-    Returns the residual multiplicities, degrees and degrees t' (int64).
+    Returns the residual multiplicities, degrees (int64) and degrees t'.
     """
-    small = max(int(t.max(initial=0)) + 1, int(mults.sum(axis=1).max(initial=0))) < 2**15
-    dtype = np.int16 if small else np.int64
+    dtype = narrow_dtype(max(int(t.max(initial=0)) + 1, int(mults.sum(axis=1).max(initial=0))))
     h, t = mults.astype(dtype), t.astype(dtype)
-    deg = (mults * (mults + 1) // 2).sum(axis=1)
+    deg = fat_degrees(mults)
     lines = np.concatenate([rich, np.eye(h.shape[1], dtype=bool)])
     live = np.flatnonzero(deg)
     while live.size:
@@ -411,7 +415,7 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h[live] = hl
         t[live] -= 1
         live = live[deg[live] > 0]
-    return h.astype(np.int64), deg, t.astype(np.int64)
+    return h, deg, t
 
 
 def _conic_index(lines) -> tuple[np.ndarray, ...]:
@@ -431,7 +435,7 @@ def _conic_lengths(conics, mults) -> np.ndarray:
     """
     a, b, members, nodes = conics
     on = gather_sums(mults, members)
-    return on[:, a] + on[:, b] - gather_sums(mults > 0, nodes)
+    return np.add(on[:, a], on[:, b], dtype=np.int64) - gather_sums(mults > 0, nodes)
 
 
 def _two_line_witness(conics, mults, t) -> np.ndarray:
@@ -488,12 +492,12 @@ def regularities(points, mults) -> np.ndarray:
     Each job is ranked mod the prime at most once per degree.
     """
     points = tuple(points)
-    mults = np.clip(np.asarray(mults, dtype=np.int64).reshape(-1, len(points)), 0, None)
+    mults = np.clip(np.asarray(mults).reshape(-1, len(points)), 0, None)
     regs = np.zeros(mults.shape[0], dtype=np.int64)
-    deg = (mults * (mults + 1) // 2).sum(axis=1)
+    deg = fat_degrees(mults)
     if not deg.any():
         return regs
-    bound = 3 + mults.sum(axis=1)
+    bound = 3 + mults.sum(axis=1, dtype=np.int64)
     rich = _line_bank(points)
     triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
     heaviest = incidence_sums(mults, rich).max(axis=1, initial=0)
@@ -521,7 +525,7 @@ def regularities(points, mults) -> np.ndarray:
 
     # every job's bank rows, job after job, point after point: the
     # C(h+1, 2) rows of order h - 1 of each point's block, deg rows in all
-    job_deg = (job * (job + 1) // 2).sum(axis=1)
+    job_deg = fat_degrees(job)
     hmax = int(job.max())
     which, i = np.nonzero(job)
     bank_rows = _euler_rows(job[which, i], level_of[which], i * comb(hmax + 2, 3))
@@ -579,6 +583,7 @@ __all__ = [
     "bareiss_rank",
     "conditions_matrix",
     "conditions_matrix_mod",
+    "fat_degrees",
     "fat_points",
     "h0_h1",
     "h1_is_zero",

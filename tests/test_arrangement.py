@@ -20,6 +20,8 @@ from rigidsurf.arrangement import (
     height_report,
     incidence_sums,
     intersection_points,
+    narrow_dtype,
+    narrowed,
     parse_label_table,
     singular_points,
     sub_crossings,
@@ -241,23 +243,49 @@ def test_sub_crossings_of_fewer_than_two_lines_are_empty(heart):
 
 @st.composite
 def incidence_cases(draw):
-    """0/1 sets with an empty row and an empty column, and signed values."""
+    """0/1 sets with an empty row and an empty column, and signed values
+    reaching +-scale, for scales on both sides of the int16 and int32 limits."""
     n = draw(st.integers(0, 9))
     members = draw(arrays(np.bool_, (draw(st.integers(0, 7)), n)))
     members = np.pad(members, ((0, 1), (0, 1)))
-    scale = draw(st.sampled_from([1, 7, 2**12, 2**20, 2**40]))
+    scale = draw(st.sampled_from([1, 7, 2**12, 2**15 - 1, 2**15, 2**20, 2**31 - 1, 2**40]))
     values = draw(arrays(np.int64, (draw(st.integers(0, 6)), n + 1), elements=st.integers(-scale, scale)))
+    if values.size:
+        values.flat[0] = draw(st.sampled_from([scale, -scale]))
     return values, members
+
+
+def _narrowest(bound):
+    return next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
 
 
 @settings(max_examples=200, deadline=None)
 @given(incidence_cases())
 def test_incidence_sums_equal_the_int64_product(case):
+    # exact, C-ordered, and in the narrowest of int16, int32 and int64
+    # that holds the widest row's member count times the largest |value|
     values, members = case
+    width = int(members.sum(axis=1).max())
     sums = incidence_sums(values, members)
-    assert sums.dtype == np.int64 and sums.flags.c_contiguous
+    assert sums.flags.c_contiguous
+    assert sums.dtype == _narrowest(width * int(np.abs(values).max(initial=0)))
     assert np.array_equal(sums, values @ members.astype(np.int64).T)
-    assert np.array_equal(incidence_sums(values > 0, members), (values > 0).astype(np.int64) @ members.T)
+    positive = incidence_sums(values > 0, members)
+    assert positive.dtype == _narrowest(width * int((values > 0).any()))
+    assert np.array_equal(positive, (values > 0).astype(np.int64) @ members.T)
+
+
+def test_narrowed_holds_values_in_the_dtype_of_their_bound():
+    assert [narrow_dtype(b) for b in (0, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**70)] == [
+        np.int16, np.int16, np.int32, np.int32, np.int64, np.int64
+    ]
+    small = np.array([-3, 3], dtype=np.int16)
+    assert narrowed(small, 3) is small
+    wide = narrowed(np.array([-(2**15), 5]), 2**15)
+    assert wide.dtype == np.int32 and wide.tolist() == [-(2**15), 5]
+    for outside in ([4], [-4]):
+        with pytest.raises(AssertionError, match="exceed 3"):
+            narrowed(np.array(outside), 3)
 
 
 def test_incidence_sums_on_the_bundled_incidences(table, sweep):

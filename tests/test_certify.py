@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,7 +26,7 @@ from rigidsurf.certify import (
     invariants,
 )
 from rigidsurf.cohomology import fat_points, h0_h1, h1_is_zero, ideal_of_chi, regularity
-from rigidsurf.cover import all_characters, chi_class, random_label_search
+from rigidsurf.cover import all_characters, chi_class, complete_labels, label_map, random_label_search
 from rigidsurf.picard import hyperplane, intersect, strict_transform
 from rigidsurf.projective import incident, join, point
 
@@ -288,6 +290,42 @@ def test_certificate_is_the_seed_certificate(heart, threads):
     assert text == seed.read_text(encoding="utf-8")
 
 
+# label maps found by random_label_search on the bundled table, stored so
+# that a change to the search cannot move them, with the sha256 of each
+# one's certificate; p = 11 takes pairings up to 10 and a sweep of 14,641
+# characters, values the bundled (Z/7)^4 map never reaches
+STRESS_MAPS = Path(__file__).resolve().parent / "data" / "stress_maps.json"
+STRESS_DIGESTS = {
+    (7, 4, 3): "a948d86652575931f15de641556ea59208ee940386769cb92ab512fceb955f43",
+    (11, 4, 1): "26633d21bc0ef2c1330cd8a0e03d0e04011cee928eda8603a6b55df72107d0d1",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("key", sorted(STRESS_DIGESTS), ids=lambda key: "p{}-r{}-seed{}".format(*key))
+def test_stress_maps_keep_their_certificates(heart, table, key, threads):
+    (entry,) = [e for e in json.loads(STRESS_MAPS.read_text()) if (e["p"], e["r"], e["seed"]) == key]
+    labels = label_map(entry["line_labels"], table, entry["p"], entry["r"])
+    text = full_certificate(heart, threads=threads, labels=labels).to_json(include_timings=False)
+    assert json.loads(text)["overall"]["pass"]
+    assert hashlib.sha256(text.encode()).hexdigest() == STRESS_DIGESTS[key]
+
+
+def test_certificate_memory_stays_small(heart):
+    # the sweep is held in int16 and reduced to int64 only in its sums:
+    # a certificate and its JSON peak at about 3.3 MiB of traced memory
+    # (7.3 MiB with int64 sweep arrays); a first call does the lazy
+    # imports and first-use set-up before tracing
+    full_certificate(heart).to_json(include_timings=False)
+    tracemalloc.start()
+    try:
+        full_certificate(heart).to_json(include_timings=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def _quadrilateral_sweep(p, seed):
     """Sweep of a seeded (Z/p)^3 label map on the complete quadrilateral."""
     table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
@@ -422,9 +460,54 @@ def test_certificate_builds_each_constant_once(heart, certificate, monkeypatch):
     assert calls["_conic_index"] == 1 < len(witness_levels)
 
 
+def test_sweep_arrays_are_narrowed_to_their_bounds(sweep):
+    # every bundled bound fits int16: p - 1 = 6, n(p - 1)/p = 29 and
+    # mu_max(p - 1)/p = 6; sums over points stay narrow too
+    for name in ("chars", "pair_lines", "c_chi", "e_floor", "d_chi", "h_mult", "e_on_lines"):
+        assert getattr(sweep, name).dtype == np.int16, name
+    # (Z/131)^2 pairings are reduced from products up to 2 * 130^2 =
+    # 33,800, past int16, which the label (130, 130) reaches; the sweep
+    # still agrees with an int64 reference
+    table = singular_points(Arrangement(closure(BASE_POINTS, 1)[0].lines))
+    labels = complete_labels([(130, 130), (129, 127), (1, 2), (3, 5), (7, 11)], table, 131, 2)
+    big = build_sweep(labels, table)
+    chars = np.array(all_characters(131, 2))
+    pairs = chars @ np.array(labels.line_labels).T % 131
+    assert np.array_equal(big.chars, chars) and np.array_equal(big.pair_lines, pairs)
+    assert np.array_equal(big.c_chi, pairs.sum(axis=1) // 131)
+    assert np.array_equal(big.e_floor, pairs @ table.incidence.T // 131)
+    assert big.pair_lines.dtype == big.e_floor.dtype == np.int16
+
+
+@pytest.mark.parametrize("edge", ["b", "c"])
+def test_conditions_b_and_c_do_not_overflow_at_the_int16_edge(sweep, edge):
+    # two characters with made-up lattice data at the edge of int16: in
+    # (b), c = 2^15 - 1 with e = 0 takes 1 - k - c below -2^15; in (c), a
+    # point with e = 2^15 - 1 on admissible lines takes its slack past
+    # 2^15; both must equal the int64 values
+    e = np.zeros((2, sweep.table.num_points), dtype=np.int16)
+    if edge == "b":
+        c = np.array([0, 2**15 - 1], dtype=np.int16)
+    else:
+        c = np.array([0, 10**6], dtype=np.int32)
+        e[1, int(np.argmax(sweep.table.mu))] = 2**15 - 1
+    edge_sweep = replace(
+        sweep, chars=sweep.chars[:2], pair_lines=sweep.pair_lines[:2], c_chi=c, e_floor=e, d_chi=c - 3, h_mult=e - 1
+    )
+    inc, c, e = sweep.inc.astype(np.int64), c.astype(np.int64), e.astype(np.int64)
+    values = (1 - inc.sum(axis=0)) - c[:, None] + e @ inc
+    ok = (edge_sweep.pair_lines != sweep.labels.p - 1) & (1 - c[:, None] + e @ inc < 0)
+    slack = ok.astype(np.int64) @ inc.T - (2 - e)
+    assert check_condition_b(edge_sweep).max_value == values[1:].max()
+    assert check_condition_c(edge_sweep).min_slack == slack[1:].min()
+    # the made-up data does reach past int16
+    assert values[1:].min() < -(2**15) if edge == "b" else slack[1:].max() >= 2**15
+
+
 def test_build_sweep_refuses_huge_groups(heart):
     # (Z/101)^5 labels pass validation, but the sweep would hold
-    # 101^5 x 141 int64 cells; the refusal comes before any allocation
+    # 101^5 x 141 cells, far over the cell cap whatever their dtype; the
+    # refusal comes before any allocation
     from rigidsurf.certify import full_certificate as run
 
     table = singular_points(heart.arrangement)

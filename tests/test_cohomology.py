@@ -22,6 +22,7 @@ from rigidsurf.cohomology import (
     bareiss_rank,
     conditions_matrix,
     conditions_matrix_mod,
+    fat_degrees,
     fat_points,
     h0_h1,
     h1_is_zero,
@@ -704,3 +705,12 @@ def test_fat_point_validation():
         FatPointScheme(((point(1, 0, 0), 0),))
     with pytest.raises(ValueError):
         FatPointScheme(((point(1, 0, 0), 1), (point(2, 0, 0), 1)))
+
+
+def test_fat_degrees_sum_in_int64_past_the_int16_squares():
+    # h(h + 1)/2 of h = 2^15 - 1 is past int16, and h^2 of h = 2^31 - 1
+    # past int32; the degrees are exact in int64 for narrow rows
+    for h, dtype in [(2**15 - 1, np.int16), (2**31 - 1, np.int32), (0, np.int16)]:
+        rows = np.array([[h, 1, 0], [0, 0, 0]], dtype=dtype)
+        degrees = fat_degrees(rows)
+        assert degrees.dtype == np.int64 and degrees.tolist() == [h * (h + 1) // 2 + 1, 0]

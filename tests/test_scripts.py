@@ -94,3 +94,22 @@ def test_search_split_repeats_in_fresh_processes(monkeypatch, capsys):
             runs = part[f"{metric}_runs"]
             assert len(runs) == 3 and part[metric] == sorted(runs)[1]
 
+
+
+def test_search_split_splits_a_certificate(monkeypatch, capsys):
+    script = load_script("search_split")
+    monkeypatch.setattr(sys, "argv", ["search_split.py", "--workload", "certify-1w", "--seed", "1"])
+    script.main()
+    report = json.loads(capsys.readouterr().out)
+    assert report["digest"] == script.workloads.SEED_DIGEST
+    parts = report["parts"]
+    sections = ["incidence", "building_data", "ampleness", "condition_a", "condition_b", "condition_c", "invariants"]
+    assert [name for name in parts if name in sections] == sections
+    assert set(parts) - set(sections) == {"crossings", "build_sweep", "to_json"}
+    for part in parts.values():
+        assert part["wall_s"] >= 0 and part["minflt"] >= 0 and part["peak_mib"] >= 0
+    assert parts["condition_a"]["peak_mib"] > 0 and 0 < report["peak_mib"] < 4
+    # the wrapped names are restored
+    from rigidsurf import certify
+
+    assert certify.check_condition_a.__module__ == "rigidsurf.certify"
