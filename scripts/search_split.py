@@ -8,16 +8,21 @@ elimination schedules, and 10 double-point scans.  A ``certify-1w``
 repetition is one ``full_certificate`` with 1 worker and its
 ``to_json``; its parts are the ``Certificate.timings`` sections, the
 crossing map and ``build_sweep`` (which run outside them) and
-``to_json``.  Each part runs once, in the benchmark's order, and prints
-as one JSON object with its wall time, the minor page faults it took
-(``ru_minflt``) and a short summary of its output.  A ``certify-1w``
-part also gives ``peak_mib``, the most memory ``tracemalloc`` saw it
-hold above what it started with, taken from a second, traced
-certificate in the same process, and the object gives the traced peak
-of one whole certificate and its JSON.  With ``--repeat N`` the
-repetition runs in N fresh processes, one after the other, and the
-object gives each part's median of every metric over them, with the N
-values.
+``to_json``.  Two parts inside condition (a), its line bank and its
+residuation chains, are also reported, as ``condition_a.line_bank`` and
+``condition_a.residual``, and left out of the total.  Each part runs
+once, in the benchmark's order, and prints as one JSON object with its
+wall time, the minor page faults it took (``ru_minflt``) and a short
+summary of its output.  A ``certify-1w`` part also gives ``rss_mb``,
+how far the process's peak RSS (``ru_maxrss``) stood above its value
+after set-up when the part ended, in the first certificate, so the part
+that first reaches the process's peak is the one that sets it; and
+``peak_mib``, the most memory ``tracemalloc`` saw the part hold above
+what it started with, taken from a second, traced certificate in the
+same process.  The object gives the traced peak of one whole
+certificate and its JSON.  With ``--repeat N`` the repetition runs in
+N fresh processes, one after the other, and the object gives each
+part's median of every metric over them, with the N values.
 
     PYTHONPATH=src python scripts/search_split.py --seed 1
     PYTHONPATH=src python scripts/search_split.py --seed 1 --repeat 5
@@ -55,6 +60,9 @@ CERTIFY_PARTS = {
     "check_condition_c": "condition_c",
     "invariants": "invariants",
 }
+# functions of rigidsurf.cohomology that condition (a) calls, by the part
+# they are reported in; a part named with a dot runs inside another one
+COHOMOLOGY_PARTS = {"_line_bank": "condition_a.line_bank", "_residual": "condition_a.residual"}
 
 
 def _timed(call):
@@ -133,33 +141,42 @@ def _search_parts(seed: int) -> dict:
     return {"seed": seed, "total_wall_s": total, "parts": parts}
 
 
+def _max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _certify_parts(seed: int) -> dict:
-    """Wall time and faults of each part of the first certificate, peaks of a second, traced one."""
-    from rigidsurf import certify
+    """Wall time, faults and peak RSS of each part of the first certificate, traced peaks of a second one."""
+    from rigidsurf import certify, cohomology
 
     inputs = workloads.setup("certify-1w", seed)
-    originals = {name: getattr(certify, name) for name in CERTIFY_PARTS}
+    set_up = _max_rss_mb()
+    wraps = [(certify, name, part) for name, part in CERTIFY_PARTS.items()]
+    wraps += [(cohomology, name, part) for name, part in COHOMOLOGY_PARTS.items()]
+    originals = [getattr(module, name) for module, name, _ in wraps]
     parts = {}
 
-    def wrapped(name, inner):
+    def wrapped(inner, name):
         def call(*args, **kwargs):
             out, part = _traced(lambda: inner(*args, **kwargs))
-            into = parts.setdefault(CERTIFY_PARTS[name], {})
+            part["rss_mb"] = round(_max_rss_mb() - set_up, 3)
+            into = parts.setdefault(name, {})
             for metric, value in part.items():
-                # the parts of a section run one after the other
-                into[metric] = max(into.get(metric, 0), value) if metric == "peak_mib" else into.get(metric, 0) + value
+                # the calls of a part run one after the other: peaks are
+                # the largest of theirs, times and faults their sums
+                peak = metric in ("peak_mib", "rss_mb")
+                into[metric] = max(into.get(metric, 0), value) if peak else into.get(metric, 0) + value
             return out
 
         return call
 
     def certificate():
         cert = certify.full_certificate(inputs["heart"], threads=inputs["threads"])
-        text, parts["to_json"] = _traced(lambda: cert.to_json(include_timings=False))
-        return text
+        return wrapped(lambda: cert.to_json(include_timings=False), "to_json")()
 
     try:
-        for name, inner in originals.items():
-            setattr(certify, name, wrapped(name, inner))
+        for (module, name, part), inner in zip(wraps, originals):
+            setattr(module, name, wrapped(inner, part))
         text = certificate()
         first = dict(parts)
         parts.clear()
@@ -169,8 +186,8 @@ def _certify_parts(seed: int) -> dict:
         finally:
             tracemalloc.stop()
     finally:
-        for name, inner in originals.items():
-            setattr(certify, name, inner)
+        for (module, name, _), inner in zip(wraps, originals):
+            setattr(module, name, inner)
     for name, part in first.items():
         part["wall_s"] = round(part["wall_s"], 4)
         part["peak_mib"] = parts[name]["peak_mib"]
@@ -185,7 +202,7 @@ def _certify_parts(seed: int) -> dict:
         "workload": "certify-1w",
         "seed": seed,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
-        "total_wall_s": round(sum(part["wall_s"] for part in first.values()), 4),
+        "total_wall_s": round(sum(part["wall_s"] for name, part in first.items() if "." not in name), 4),
         "peak_mib": round(peak / 2**20, 3),
         "parts": first,
     }
@@ -205,7 +222,7 @@ def _medians(workload: str, seed: int, repeat: int) -> dict:
     parts = {}
     for name in runs[0]:
         parts[name] = {}
-        for metric in ("wall_s", "minflt", "peak_mib"):
+        for metric in ("wall_s", "minflt", "rss_mb", "peak_mib"):
             if metric not in runs[0][name]:
                 continue
             values = [run[name][metric] for run in runs]

@@ -18,7 +18,6 @@ regularity it returns.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 import json
@@ -154,9 +153,11 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
     mults = sweep.h_mult[1:]
     workers = min(threads, os.cpu_count() or 1, len(mults))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
+
         cuts = np.linspace(0, len(mults), workers + 1).astype(int)
         slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(regularities, [points] * workers, [mults[s] for s in slices])
             regs = np.concatenate(list(parts))
     else:

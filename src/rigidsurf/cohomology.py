@@ -155,22 +155,23 @@ def _conditions(scheme: FatPointScheme, t: int, q: int | None = None) -> np.ndar
     factorial (e)_a vanishes for e < a, which zeroes the monomials a
     derivative kills.  Rows come point after point, in ``_orders``
     order.  With no modulus the entries are Python integers (an object
-    array); with one they are int64 residues, reduced after each product.
+    array); with one they are residues in ``kernel_dtype(q)`` (int32 for
+    ``RANK_PRIME``), which holds a product of two, reduced in place after
+    each.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     if q is None:
         dtype, reduce = object, (lambda a: a)
     else:
-        assert 0 < q < 2**31, "int64 products of two residues need q < 2^31"
-        dtype, reduce = np.int64, (lambda a: a % q)
+        dtype, reduce = kernel_dtype(q), (lambda a: np.remainder(a, q, out=a))
     exps = np.array(monomials(t), dtype=np.int64).reshape(-1, 3)
     if not scheme.points:
         return np.zeros((0, len(exps)), dtype=dtype)
     mult = np.array([h for _, h in scheme.points], dtype=np.int64)
     hmax = int(mult.max())
-    coords = [reduce(c) for pnt, _ in scheme.points for c in pnt.coords]
-    values, which = np.unique(np.array(coords, dtype=dtype), return_inverse=True)
+    coords = reduce(np.array([c for pnt, _ in scheme.points for c in pnt.coords], dtype=object))
+    values, which = np.unique(coords.astype(dtype), return_inverse=True)
     which = which.reshape(-1, 3)
 
     e = np.arange(t + 1, dtype=np.int64)
@@ -191,7 +192,7 @@ def _conditions(scheme: FatPointScheme, t: int, q: int | None = None) -> np.ndar
     order = np.array(_orders(hmax), dtype=np.int64)[within]
     out = tables[which[pt, 0][:, None], order[:, :1], exps[:, 0]]
     for k in (1, 2):
-        out = reduce(out * tables[which[pt, k][:, None], order[:, k:k + 1], exps[:, k]])
+        out = reduce(np.multiply(out, tables[which[pt, k][:, None], order[:, k:k + 1], exps[:, k]], out=out))
     return out
 
 
@@ -201,7 +202,7 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> list[list[int]]:
 
 
 def conditions_matrix_mod(scheme: FatPointScheme, t: int, q: int) -> np.ndarray:
-    """Conditions matrix reduced mod q (a reduction of the exact one), as int64."""
+    """Conditions matrix reduced mod q (a reduction of the exact one), in ``kernel_dtype(q)``."""
     return _conditions(scheme, t, q)
 
 
@@ -311,7 +312,7 @@ def regularity(scheme: FatPointScheme, fast: bool = False) -> int:
         return 0
     deg = scheme.degree
     bound = 3 + sum(h for _, h in scheme.points)
-    t = _first_possible_degree(deg)
+    t = next(t for t in range(deg + 1) if comb(t + 2, 2) >= deg)  # below it h1 > 0 for free
     while t <= bound:
         vanished = h1_is_zero(scheme, t) if fast else (deg - hilbert_rank(scheme, t) == 0)
         if vanished:
@@ -320,22 +321,14 @@ def regularity(scheme: FatPointScheme, fast: bool = False) -> int:
     raise ArithmeticError(f"regularity scan exceeded bound {bound}")
 
 
-def _first_possible_degree(deg: int) -> int:
-    """Smallest t with C(t+2,2) >= deg; below it h1 > 0 for free."""
-    t = 0
-    while comb(t + 2, 2) < deg:
-        t += 1
-    return t
-
-
 def _line_bank(points) -> np.ndarray:
     """Incidences (lines x points) of the lines through at least four of ``points``.
 
     Each is found as the join of a pair of the points.  Incidence is
     exact: the join of two integer points is their cross product, and a
-    point lies on it when their dot product vanishes.  In int64 the dot
-    products stay within 6 c^3 < 2^63 for coordinates up to c = 2^20;
-    larger coordinates are multiplied as Python integers.
+    point lies on it when their dot product vanishes.  Both stay within
+    6 c^3 for coordinates up to c, and are taken in its :func:`narrow_dtype`
+    (int32 here, c = 25) up to c = 2^20, above it as Python integers.
 
     A line through k of the points is the join of C(k, 2) pairs; one row
     is kept per line, the rows sorted lexicographically (first point
@@ -343,8 +336,9 @@ def _line_bank(points) -> np.ndarray:
     packed bits gives it in 0.12 ms on the bundled points, against 4.4 ms.
     """
     xyz = np.array([pnt.coords for pnt in points], dtype=object).reshape(-1, 3)
-    if not xyz.size or np.abs(xyz).max() <= 2**20:
-        xyz = xyz.astype(np.int64)
+    c = int(np.abs(xyz).max(initial=0))
+    if c <= 2**20:
+        xyz = xyz.astype(narrow_dtype(6 * c**3))
     a, b = np.triu_indices(len(xyz), 1)
     joins = np.cross(xyz[a], xyz[b])
     # a repeated point joins to zero, which is no line
@@ -365,9 +359,9 @@ def fat_degrees(mults) -> np.ndarray:
     return (np.einsum("ij,ij->i", mults, mults, dtype=np.int64) + mults.sum(axis=1, dtype=np.int64)) // 2
 
 
-def _fits(s, t):
-    """Whether a line meeting the scheme in degree s may be residuated in degree t."""
-    return (s > 0) & (s <= t + 1)
+def _room(t):
+    """The largest line sum s_L a residuation in degree t allows: h1(O_P1(t - s_L)) = 0 needs s_L <= t + 1."""
+    return t + 1
 
 
 def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,36 +377,52 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     last residual of a chain proves it for Z in degree t; the empty
     scheme has h1 = 0 in every degree.
 
-    A line is peeled in degree t only when it fits (:func:`_fits`) and
-    deg - s_L <= C(t + 1, 2): a residual past the counting bound has
-    h1 > 0, so no chain through it can end well.  Every residual of a
-    scheme with deg <= C(t + 2, 2) therefore keeps deg' <= C(t' + 2, 2),
-    so t' >= h' - 1 at each of its points.  The lines are the ``rich``
-    ones (:func:`_line_bank`) and, for each point, a line through it
-    alone, whose s_L is the point's multiplicity (a point lies on
-    infinitely many lines over Q, and only finitely many meet another
-    point).  Each step takes the heaviest line allowed; a chain stops
-    when none is, or when it empties the scheme.  Line sums come from
-    :func:`incidence_sums`; the multiplicities and degrees t are held in
-    the :func:`narrow_dtype` of the largest line sum and degree.
+    The lines are the ``rich`` ones (:func:`_line_bank`) and, for each
+    point, a line through it alone, whose s_L is the point's multiplicity
+    (a point lies on infinitely many lines over Q, and only finitely many
+    meet another point).  A step zeroes every line sum above t + 1
+    (:func:`_room`) and takes the heaviest line left, the first on ties;
+    it peels it when s_L > 0 and deg - s_L <= C(t + 1, 2), else the chain
+    stops: a residual past the counting bound has h1 > 0, and a lighter
+    line leaves a larger one.  A residual of a scheme with
+    deg <= C(t + 2, 2) thus keeps deg' <= C(t' + 2, 2): t' >= h' - 1 at
+    each of its points.  The sums are held lines-major (bank lines, the
+    points, a zero row for the padding of the bank's :func:`gather_index`)
+    in the :func:`narrow_dtype` of the largest line sum and degree; they
+    and a scratch array are allocated once, reshaped to the live schemes
+    and filled by ``np.take`` in clip mode, which does not buffer.
 
     Returns the residual multiplicities, degrees (int64) and degrees t'.
     """
     dtype = narrow_dtype(max(int(t.max(initial=0)) + 1, int(mults.sum(axis=1).max(initial=0))))
     h, t = mults.astype(dtype), t.astype(dtype)
     deg = fat_degrees(mults)
-    lines = np.concatenate([rich, np.eye(h.shape[1], dtype=bool)])
+    count, width = h.shape
+    bank, tall = len(rich), len(rich) + width
+    lines = np.concatenate([rich, np.eye(width, dtype=bool)])
+    members = gather_index(rich) + bank
+    sums, scratch = np.empty((tall + 1) * count, dtype=dtype), np.empty(max(bank, width) * count, dtype=dtype)
+    shaped = lambda buffer, rows, cols: buffer[: rows * cols].reshape(rows, cols)
     live = np.flatnonzero(deg)
     while live.size:
-        hl, tl = h[live], t[live].astype(np.int64)
-        s = np.concatenate([incidence_sums(hl, rich), hl], axis=1, dtype=dtype)
-        allowed = _fits(s, tl[:, None]) & (s >= (deg[live] - tl * (tl + 1) // 2)[:, None])
-        best = (s * allowed).argmax(axis=1)
-        step = allowed[np.arange(live.size), best]
-        live, hl, best = live[step], hl[step], best[step]
-        deg[live] -= s[step, best]
-        hl -= lines[best] & (hl > 0)
-        h[live] = hl
+        m = live.size
+        s = shaped(sums, tall + 1, m)
+        s[bank:tall] = np.take(h, live, axis=0, out=shaped(scratch, m, width), mode="clip").T
+        s[tall] = s[:bank] = 0
+        for column in members.T:
+            s[:bank] += np.take(s, column, axis=0, out=shaped(scratch, bank, m), mode="clip")
+        s, tl = s[:tall], t[live].astype(np.int64)
+        np.copyto(s, 0, where=np.greater(s, _room(tl), out=shaped(scratch.view(bool), tall, m)))
+        top = s.max(axis=0)
+        # the first top line, from a schemes-major mask argmax reads without a copy
+        best = np.equal(s.T, top[:, None], out=shaped(scratch.view(bool), m, tall)).argmax(axis=1)
+        step = (top > 0) & (top >= deg[live] - tl * (tl + 1) // 2)
+        live, best = live[step], best[step]
+        deg[live] -= top[step]
+        # a line lowers each of its points by one, down to zero
+        rows = np.take(h, live, axis=0, out=shaped(scratch, live.size, width), mode="clip")
+        rows -= np.take(lines, best, axis=0, out=shaped(sums.view(bool), live.size, width), mode="clip")
+        h[live] = np.maximum(rows, 0, out=rows)
         t[live] -= 1
         live = live[deg[live] > 0]
     return h, deg, t
@@ -473,8 +483,8 @@ def regularities(points, mults) -> np.ndarray:
       :func:`conditions_matrix_mod` builds) has exactly its deg rows,
       since deg <= C(t+2, 2) gives t >= h - 1 at every point, selected
       from one bank per level: the conditions matrix of all points at
-      the largest multiplicity, cast once to the elimination's dtype,
-      so the gathered stacks are eliminated without another reduction;
+      the largest multiplicity, built in the elimination's dtype, so the
+      gathered stacks are eliminated without another reduction or cast;
     - the jobs at one level are ranked in stacks of at most
       ``_STACK_CELLS`` cells, each padded with zero rows (which leave a
       rank alone) to its largest deg.  Full rank certifies h1 = 0 for
@@ -502,13 +512,12 @@ def regularities(points, mults) -> np.ndarray:
     triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
     heaviest = incidence_sums(mults, rich).max(axis=1, initial=0)
     t = np.maximum(heaviest - 1, np.searchsorted(triangular, deg))
-    live = np.nonzero(deg)[0]
 
-    res, res_deg, res_t = _residual(rich, mults[live], t[live])
-    emptied = live[res_deg == 0]
+    res, res_deg, res_t = _residual(rich, mults, t)
+    emptied = np.flatnonzero((res_deg == 0) & (deg > 0))
     regs[emptied] = t[emptied] + 1
     stalled = res_deg > 0
-    stepped = stalled & (res_t < t[live])
+    stepped = stalled & (res_t < t)
     if not stalled.any():
         return regs
 
@@ -516,9 +525,9 @@ def regularities(points, mults) -> np.ndarray:
     # original of every stalled scheme, held back while its residual is
     # pending
     residuals = int(stepped.sum())
-    owner = np.concatenate([live[stepped], live[stalled]])
-    job = np.concatenate([res[stepped], mults[live[stalled]]])
-    level_of = np.concatenate([res_t[stepped], t[live[stalled]]])
+    owner = np.concatenate([np.flatnonzero(stepped), np.flatnonzero(stalled)])
+    job = np.concatenate([res[stepped], mults[stalled]])
+    level_of = np.concatenate([res_t[stepped], t[stalled]])
     original_of = residuals + np.flatnonzero(stepped[stalled])
     pending = np.ones(owner.size, dtype=bool)
     pending[original_of] = False
@@ -541,7 +550,7 @@ def regularities(points, mults) -> np.ndarray:
         over = owner[now[bound[owner[now]] < level]]
         if over.size:
             raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
-        bank = conditions_matrix_mod(full, level, q).astype(kernel_dtype(q))
+        bank = conditions_matrix_mod(full, level, q)
         per_stack = max(1, _STACK_CELLS // (int(job_deg[now].max()) * bank.shape[1]))
         certified = []
         for chunk in np.array_split(now, ceil(now.size / per_stack)):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -312,10 +313,12 @@ def test_stress_maps_keep_their_certificates(heart, table, key, threads):
 
 
 def test_certificate_memory_stays_small(heart):
-    # the sweep is held in int16 and reduced to int64 only in its sums:
-    # a certificate and its JSON peak at about 3.3 MiB of traced memory
-    # (7.3 MiB with int64 sweep arrays); a first call does the lazy
-    # imports and first-use set-up before tracing
+    # the sweep is held in int16 and reduced to int64 only in its sums,
+    # the conditions banks are built in int32 and the residuation chains
+    # reuse two working arrays: a certificate and its JSON peak at about
+    # 2.6 MiB of traced memory (3.3 MiB with int64 banks and per-step
+    # chain arrays, 7.3 MiB with int64 sweep arrays as well); a first
+    # call does the lazy imports and first-use set-up before tracing
     full_certificate(heart).to_json(include_timings=False)
     tracemalloc.start()
     try:
@@ -323,7 +326,7 @@ def test_certificate_memory_stays_small(heart):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 3 * 2**20
 
 
 def _quadrilateral_sweep(p, seed):
@@ -581,7 +584,7 @@ def test_condition_a_caps_the_workers(monkeypatch):
 
     sweep = _quadrilateral_sweep(3, 2)
     serial = check_condition_a(sweep)
-    monkeypatch.setattr(certify.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for cpus, workers in ((3, 3), (100_000, len(sweep.chars) - 1)):
         monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
         capped = check_condition_a(sweep, threads=100_000)

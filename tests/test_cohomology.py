@@ -506,7 +506,7 @@ def test_residuation_property_catches_a_loosened_rule(monkeypatch):
     # false proof
     import rigidsurf.cohomology as cohomology
 
-    monkeypatch.setattr(cohomology, "_fits", lambda s, t: (s > 0) & (s <= t + 2))
+    monkeypatch.setattr(cohomology, "_room", lambda t: t + 2)
     case = find(
         residuation_cases(),
         lambda c: bool(_false_proofs(c)),
@@ -531,7 +531,7 @@ def test_residual_rank_property_catches_a_loosened_rule(monkeypatch):
     # whose original is short of it
     import rigidsurf.cohomology as cohomology
 
-    monkeypatch.setattr(cohomology, "_fits", lambda s, t: (s > 0) & (s <= t + 2))
+    monkeypatch.setattr(cohomology, "_room", lambda t: t + 2)
     case = find(
         residuation_cases(),
         lambda c: bool(_false_residual_proofs(c, nonempty=True)),
@@ -540,6 +540,50 @@ def test_residual_rank_property_catches_a_loosened_rule(monkeypatch):
         ),
     )
     assert _false_residual_proofs(case, nonempty=True)
+
+
+def _scalar_residual(rich, row, t):
+    """One chain of the rule :func:`_residual` documents, scheme by scheme in
+    Python integers: over the bank lines and then one line per point, peel
+    the heaviest line with 0 < s_L <= t + 1 and deg - s_L <= C(t + 1, 2),
+    the first one on ties, until none is left or the scheme is empty."""
+    lines = [np.flatnonzero(line).tolist() for line in rich] + [[i] for i in range(len(row))]
+    h, deg = list(row), sum(x * (x + 1) // 2 for x in row)
+    while deg:
+        sums = [sum(h[i] for i in line) for line in lines]
+        allowed = [j for j, s in enumerate(sums) if 0 < s <= t + 1 and deg - s <= (t + 1) * t // 2]
+        if not allowed:
+            break
+        j = max(allowed, key=sums.__getitem__)
+        deg -= sums[j]
+        h = [x - 1 if i in lines[j] and x > 0 else x for i, x in enumerate(h)]
+        t -= 1
+    return h, deg, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residual_matches_a_scalar_chain(table, data):
+    # the vectorized chains, with their shared working arrays and live
+    # rows, take exactly the steps of the documented rule on the bundled
+    # 51 points, scheme by scheme
+    rich = _line_bank(table.points)
+    # a few fat points each, so that the chains take steps
+    supports = data.draw(st.lists(st.dictionaries(st.integers(0, 50), st.integers(1, 4), max_size=16),
+                                  min_size=1, max_size=6))
+    rows = [[support.get(i, 0) for i in range(51)] for support in supports]
+    degrees = data.draw(st.lists(st.integers(0, 12), min_size=len(rows), max_size=len(rows)))
+    res, res_deg, res_t = _residual(rich, np.array(rows), np.array(degrees))
+    got = [(h.tolist(), int(d), int(t)) for h, d, t in zip(res, res_deg, res_t)]
+    assert got == [_scalar_residual(rich, row, t) for row, t in zip(rows, degrees)]
+
+
+def test_every_chain_at_d_minus_2_empties_its_scheme(sweep, table):
+    # reg < d exactly when h1(I_Z(d - 2)) = 0, and on the bundled map a
+    # chain of residuations proves it with no matrix for every character
+    mults = np.clip(sweep.h_mult[1:], 0, None)
+    _, res_deg, _ = _residual(_line_bank(table.points), mults, sweep.d_chi[1:] - 2)
+    assert res_deg.size == 2400 and not res_deg.any()
 
 
 @st.composite
@@ -654,7 +698,9 @@ def test_conditions_matrix_mod_reduces_exact_matrix():
         t = rng.randint(0, 7)
         for q in (RANK_PRIME, 2_147_483_587, 7, 1_000_003):
             mod = conditions_matrix_mod(fat, t, q)
-            assert mod.dtype == np.int64
+            # built in the elimination's dtype: int32 up to RANK_PRIME, where
+            # a product of two residues still fits, int64 above it
+            assert mod.dtype == (np.int32 if q <= RANK_PRIME else np.int64)
             assert mod.tolist() == _reduced(conditions_matrix(fat, t), q)
     assert conditions_matrix_mod(EMPTY, 3, 7).shape == (0, 10)
 

@@ -64,7 +64,9 @@ def test_search_split_prints_the_four_parts(monkeypatch, capsys):
 def test_search_and_certificate_do_not_import_numpy_ma():
     # numpy.ma is imported by the first np.unique(axis=0), at a cost of
     # tens of milliseconds and 4.8 MB of resident memory; neither a search
-    # workload repetition nor a certificate needs it
+    # workload repetition nor a certificate needs it.  Nor do they need
+    # concurrent.futures (with logging, about 0.5 MB), which only a
+    # certificate with more than one worker imports
     src = str(SCRIPTS.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
@@ -74,13 +76,13 @@ def test_search_and_certificate_do_not_import_numpy_ma():
         "from rigidsurf.arrangement import build_heart\n"
         "from rigidsurf.certify import full_certificate\n"
         "assert full_certificate(build_heart()).ok\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert json.loads(lines[0])["parts"]["label_search"]["attempts"] > 0
-    assert lines[1] == "False"
+    assert lines[1] == "False False"
 
 
 def test_search_split_repeats_in_fresh_processes(monkeypatch, capsys):
@@ -105,11 +107,33 @@ def test_search_split_splits_a_certificate(monkeypatch, capsys):
     parts = report["parts"]
     sections = ["incidence", "building_data", "ampleness", "condition_a", "condition_b", "condition_c", "invariants"]
     assert [name for name in parts if name in sections] == sections
-    assert set(parts) - set(sections) == {"crossings", "build_sweep", "to_json"}
+    inner = {"condition_a.line_bank", "condition_a.residual"}
+    assert set(parts) - set(sections) == {"crossings", "build_sweep", "to_json"} | inner
     for part in parts.values():
-        assert part["wall_s"] >= 0 and part["minflt"] >= 0 and part["peak_mib"] >= 0
+        assert part["wall_s"] >= 0 and part["minflt"] >= 0 and part["peak_mib"] >= 0 and part["rss_mb"] >= 0
     assert parts["condition_a"]["peak_mib"] > 0 and 0 < report["peak_mib"] < 4
+    # the peak RSS above set-up only rises, part after part, and the parts
+    # inside condition (a) are not counted twice in the total
+    outer = [parts[name]["rss_mb"] for name in parts if name not in inner]
+    assert outer == sorted(outer)
+    rss = [parts[name]["rss_mb"] for name in ("condition_a.line_bank", "condition_a.residual", "condition_a")]
+    assert rss == sorted(rss)
+    outer_wall = sum(parts[name]["wall_s"] for name in parts if name not in inner)
+    assert report["total_wall_s"] == round(outer_wall, 4)
     # the wrapped names are restored
     from rigidsurf import certify
 
     assert certify.check_condition_a.__module__ == "rigidsurf.certify"
+
+
+def test_search_split_repeats_a_certificate(monkeypatch, capsys):
+    script = load_script("search_split")
+    argv = ["search_split.py", "--workload", "certify-1w", "--seed", "1", "--repeat", "2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    script.main()
+    report = json.loads(capsys.readouterr().out)
+    assert (report["workload"], report["repeat"]) == ("certify-1w", 2)
+    for part in report["parts"].values():
+        for metric in ("wall_s", "minflt", "rss_mb", "peak_mib"):
+            runs = part[f"{metric}_runs"]
+            assert len(runs) == 2 and part[metric] == sum(runs) / 2
