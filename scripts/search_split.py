@@ -8,8 +8,9 @@ elimination schedules, and 10 double-point scans.  A ``certify-1w``
 repetition is one ``full_certificate`` with 1 worker and its
 ``to_json``; its parts are the ``Certificate.timings`` sections, the
 crossing map and ``build_sweep`` (which run outside them) and
-``to_json``.  Two parts inside condition (a), its line bank and its
-residuation chains, are also reported, as ``condition_a.line_bank`` and
+``to_json``.  Three parts inside condition (a), its line bank, its scan
+start and its residuation chains, are also reported, as
+``condition_a.line_bank``, ``condition_a.start`` and
 ``condition_a.residual``, and left out of the total.  Each part runs
 once, in the benchmark's order, and prints as one JSON object with its
 wall time, the minor page faults it took (``ru_minflt``) and a short
@@ -62,7 +63,11 @@ CERTIFY_PARTS = {
 }
 # functions of rigidsurf.cohomology that condition (a) calls, by the part
 # they are reported in; a part named with a dot runs inside another one
-COHOMOLOGY_PARTS = {"_line_bank": "condition_a.line_bank", "_residual": "condition_a.residual"}
+COHOMOLOGY_PARTS = {
+    "_line_bank": "condition_a.line_bank",
+    "_start": "condition_a.start",
+    "_residual": "condition_a.residual",
+}
 
 
 def _timed(call):

@@ -7,13 +7,13 @@ integer arithmetic (narrowed to proven bounds, summed in int64), and every
 cohomological vanishing is either certified by a full-row-rank witness
 mod a prime (hence exact) or settled by fraction-free elimination.
 Condition (a) runs one batched regularity scan per worker: it starts
-each character where the heaviest line of its own line bank forces
-h1 > 0 below, residuation along those lines proves most first vanishing
-degrees or leaves a smaller residual to rank, and the Euler-reduced
-witnesses of the rest are ranked in zero-padded stacks, with a conic of
-two bank lines proving h1 > 0 before any exact fallback.  That scan is the only place h1 = 0 is decided: h1
-in the twist degree, which the invariants need, is read off the
-regularity it returns.
+each character where the heaviest lines of its own line bank, alone or
+two as a conic, force h1 > 0 below, residuation along those lines
+proves most first vanishing degrees or leaves a smaller residual to
+rank, and the Euler-reduced witnesses of the rest are ranked in
+zero-padded stacks, with Bareiss as the exact fallback.  That scan is
+the only place h1 = 0 is decided: h1 in the twist degree, which the
+invariants need, is read off the regularity it returns.
 """
 
 from __future__ import annotations
@@ -133,14 +133,13 @@ def check_condition_a(sweep: SweepData, threads: int = 1) -> ConditionAResult:
 
     reg comes from one certified upward scan over all characters
     (:func:`regularities`, which proves where each scan may start from
-    its own line bank, proves h1 = 0 there by residuation along its
-    lines, emptying the scheme or ranking the residual mod a prime,
-    ranks the rest upward mod the prime, and proves h1 > 0 where that
-    rank falls short by a conic of two bank lines or by Bareiss); with
-    several workers, each scans a contiguous
-    slice of the characters.  The workers are capped by the CPU count
-    and the number of characters; the output does not depend on their
-    number.
+    the lines and two-line conics of its own line bank, proves h1 = 0
+    there by residuation along its lines, emptying the scheme or ranking
+    the residual mod a prime, ranks the rest upward mod the prime, and
+    settles by Bareiss where that rank falls short); with several
+    workers, each scans a contiguous slice of the characters.  The
+    workers are capped by the CPU count and the number of characters;
+    the output does not depend on their number.
 
     h1 in the twist degree d feeds the irregularity computation, and it
     is read off reg rather than decided again: the scan proves h1 > 0

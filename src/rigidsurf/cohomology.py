@@ -16,17 +16,17 @@ and Bareiss settles every other case.  The prime is small enough for
 the elimination to run on int32 residues.  The sweep's schemes all
 live on one point set, so :func:`regularities` scans them together.  It
 builds one bank of the lines through at least four of the points; the
-heaviest bank line of each scheme bounds where its scan starts.  At
-that first degree a chain of residuations along bank lines (Horace's
-method) empties most schemes, which proves h1 = 0 with no matrix at
-all.  A chain stops before its residual would pass the counting bound,
-so the residual it leaves is ranked in its place, at a lower degree and
-with fewer rows, and full rank there proves h1 = 0 for the scheme.
+heaviest bank lines of each scheme, alone or two as a conic, bound where
+its scan starts.  At that first degree a chain of residuations along bank
+lines (Horace's method) empties most schemes, which proves h1 = 0 with no
+matrix at all.  A chain stops before its residual would pass the counting
+bound, so the residual it leaves is ranked in its place, at a lower degree
+and with fewer rows, and full rank there proves h1 = 0 for the scheme.
 Residuals and the originals they do not settle are ranked per degree
-from one bank of conditions rows, in zero-padded stacks mod the prime.
-An original short of full rank there has h1 > 0 proved by a conic of
-two bank lines or settled by Bareiss.  Each shortcut proves one
-direction only: residuation h1 = 0, the conic h1 > 0.
+from one bank of conditions rows, in zero-padded stacks mod the prime,
+and Bareiss settles an original short of full rank.  Each shortcut
+proves one direction only: residuation h1 = 0, the bank lines below the
+start h1 > 0.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import ceil, comb
 
 import numpy as np
 
-from .arrangement import IncidenceTable, gather_index, gather_sums, incidence_sums, narrow_dtype
+from .arrangement import IncidenceTable, gather_index, incidence_sums, narrow_dtype
 from .cover import LabelMap, chi_class
 from .modp import kernel_dtype, rank_mod, ranks_mod
 from .picard import canonical_class
@@ -428,36 +428,31 @@ def _residual(rich, mults, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, deg, t
 
 
-def _conic_index(lines) -> tuple[np.ndarray, ...]:
-    """The pairs a < b of ``lines``, the lines' :func:`gather_index` and the nodes'."""
-    a, b = np.triu_indices(len(lines), 1)
-    return a, b, gather_index(lines), gather_index(lines[a] & lines[b])
+def _start(rich, mults, counting) -> np.ndarray:
+    """Where each scheme's scan starts: the first degree it has not proved h1 > 0 in.
 
-
-def _conic_lengths(conics, mults) -> np.ndarray:
-    """Length of each scheme on each conic L1 + L2 of two lines (schemes x pairs).
-
-    Off the node a fat point hP meets L1 + L2 in its line's length h; at
-    the node it has length 2h - 1 (the monomials of degree < h that xy
-    does not divide), so the length is s1 + s2, less one when the node is
-    a point of the scheme.  ``conics`` is the :func:`_conic_index` of the
-    lines.
+    A line whose points' multiplicities sum to s restricts a scheme to a
+    degree-s scheme on it, which forces h1 > 0 in every degree t <= s - 2.
+    A conic L1 + L2 meets it in length s1 + s2, less one when the node is
+    a support point (a fat point hP there has length 2h - 1), and its
+    residual sequence 0 -> I_{Res_C Z}(t - 2) -> I_Z(t) -> I_{Z∩C, C}(t) -> 0
+    gives h1(I_Z(t)) >= s1 + s2 - [node in Z] - (2t + 1) for t >= 0.  For
+    s the heaviest sum over the ``rich`` lines (:func:`_line_bank`), a
+    conic of two of them proves more than the line only at t = s - 1,
+    when two heaviest lines meet off the support: when the C(k, 2) pairs
+    of the k heaviest lines outnumber the pairs through a support point
+    P, C(c_P, 2) for the c_P of them through P (two lines meet once).
+    The start is the larger of ``counting`` and s - 1, or s in that case.
     """
-    a, b, members, nodes = conics
-    on = gather_sums(mults, members)
-    return np.add(on[:, a], on[:, b], dtype=np.int64) - gather_sums(mults > 0, nodes)
-
-
-def _two_line_witness(conics, mults, t) -> np.ndarray:
-    """Which schemes a conic of two lines proves to have h1 > 0 in degree t >= 0.
-
-    The residual sequence of a conic C,
-    0 -> I_{Res_C Z}(t - 2) -> I_Z(t) -> I_{Z∩C, C}(t) -> 0, has
-    h2(O(t - 2)) = 0, so h1(I_Z(t)) >= h1(I_{Z∩C, C}(t)) >= s - h0(O_C(t))
-    = s - 2t - 1 for Z∩C of length s (:func:`_conic_lengths`); a length
-    s >= 2t + 2 proves h1 > 0.
-    """
-    return (_conic_lengths(conics, mults) >= 2 * t + 2).any(axis=1)
+    sums = incidence_sums(mults, rich)
+    heaviest = sums.max(axis=1, initial=0)
+    top = sums == heaviest[:, None]
+    k = top.sum(axis=1)
+    c = incidence_sums(top, rich.T)
+    c *= mults > 0
+    # pairs through a support point: the sum of C(c, 2) = C(c + 1, 2) - c
+    met = fat_degrees(c) - c.sum(axis=1, dtype=np.int64)
+    return np.maximum(counting, heaviest - 1 + (k * (k - 1) // 2 > met))
 
 
 def regularities(points, mults) -> np.ndarray:
@@ -468,10 +463,9 @@ def regularities(points, mults) -> np.ndarray:
     regularity of ``regularity(scheme, fast=True)``, from proofs alone:
 
     - t0 is the larger of the counting bound, the smallest t with
-      C(t+2, 2) >= deg, and s - 1 for the heaviest line of the line bank
-      (:func:`_line_bank`), whose points' multiplicities sum to s: the
-      scheme restricts to a degree-s scheme on it, which forces h1 > 0
-      in every degree t <= s - 2.  So h1 > 0 at t0 - 1;
+      C(t+2, 2) >= deg, and the bound of the heaviest lines of the line
+      bank (:func:`_start`): s - 1 for their sum s, or s when two of them
+      meet off the support.  So h1 > 0 at t0 - 1;
     - at t0, a chain of residuations along the same lines
       (:func:`_residual`) reduces each scheme to a residual Res in a
       degree t' <= t0, and h1(I_Res(t')) = 0 proves h1 = 0 at t0, so
@@ -491,14 +485,12 @@ def regularities(points, mults) -> np.ndarray:
       the job: a residual's proves reg = t0 + 1, and an original's at t
       proves reg = t + 1;
     - a residual short of full rank decides nothing, and its original
-      joins the jobs at t0.  An original short of it at t has h1 > 0
-      proved by a conic of two bank lines (:func:`_two_line_witness`,
-      whose line pairs and node index are built once per call) or
-      settled by its exact rank (:func:`hilbert_rank`, by Bareiss), and
-      moves on to t + 1 only when h1 does not vanish there.
+      joins the jobs at t0.  An original short of it at t is settled by
+      its exact rank (:func:`hilbert_rank`, by Bareiss), and moves on to
+      t + 1 only when h1 does not vanish there.
 
-    Both bounds are at most the sum of multiplicities minus one, below
-    the scan cap 3 + that sum; the cap is checked at every ranked degree.
+    The start is at most the sum of multiplicities, below the scan cap
+    3 + that sum; the cap is checked at every ranked degree.
     Each job is ranked mod the prime at most once per degree.
     """
     points = tuple(points)
@@ -510,8 +502,7 @@ def regularities(points, mults) -> np.ndarray:
     bound = 3 + mults.sum(axis=1, dtype=np.int64)
     rich = _line_bank(points)
     triangular = np.array([comb(t + 2, 2) for t in range(int(bound.max()) + 1)])
-    heaviest = incidence_sums(mults, rich).max(axis=1, initial=0)
-    t = np.maximum(heaviest - 1, np.searchsorted(triangular, deg))
+    t = _start(rich, mults, np.searchsorted(triangular, deg))
 
     res, res_deg, res_t = _residual(rich, mults, t)
     emptied = np.flatnonzero((res_deg == 0) & (deg > 0))
@@ -542,7 +533,6 @@ def regularities(points, mults) -> np.ndarray:
     first_row = np.cumsum(job_deg) - job_deg
     full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
     q = RANK_PRIME
-    conics = None  # built at the first level with a short original
 
     while pending.any():
         level = int(level_of[pending].min())
@@ -567,14 +557,8 @@ def regularities(points, mults) -> np.ndarray:
         regs[proved] = t[proved] + 1
         pending[original_of[now[residual & ~certified]]] = True
         regs[owner[now[~residual & certified]]] = level + 1
-        short = now[~residual & ~certified]
-        if not short.size:
-            continue
-        if conics is None:
-            conics = _conic_index(rich)
-        witnessed = _two_line_witness(conics, job[short], level)
-        moved = short[witnessed].tolist()
-        for j in short[~witnessed].tolist():
+        moved = []
+        for j in now[~residual & ~certified].tolist():
             k = owner[j]
             if hilbert_rank(fat_points(points, mults[k]), level) == deg[k]:
                 regs[k] = level + 1

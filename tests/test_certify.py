@@ -61,7 +61,8 @@ def test_bank_start_is_the_arrangement_line_bound(sweep, table, cond_a, monkeypa
     # the line bank of the scan (the 45 lines through at least four of
     # the 51 points) bounds every character's first vanishing degree
     # exactly as the 34 arrangement lines do; the scan starts each scheme
-    # at the larger of that bound and the counting bound, and gets the
+    # at the larger of that bound and the counting bound, one higher for
+    # the 19 whose two heaviest lines meet off the support, and gets the
     # regularity of the scalar scan from the counting bound
     import rigidsurf.cohomology as cohomology
 
@@ -82,9 +83,11 @@ def test_bank_start_is_the_arrangement_line_bound(sweep, table, cond_a, monkeypa
     assert check_condition_a(sweep) == cond_a
     deg = (m * (m + 1) // 2).sum(axis=1)
     counting = np.array([next(t for t in range(99) if comb(t + 2, 2) >= d) for d in deg])
-    assert starts[0].tolist() == np.maximum(arrangement_start, counting)[deg > 0].tolist()
+    bound = np.maximum(arrangement_start, counting)[deg > 0]
+    rise = starts[0] - bound
+    assert sorted(set(rise.tolist())) == [0, 1] and int(rise.sum()) == 19
     first = np.array([reg for _, reg, _ in cond_a.per_chi]) - 1
-    assert (arrangement_start <= first).all()
+    assert (starts[0] <= first[deg > 0]).all()
     for idx, reg, d in cond_a.per_chi[::97]:
         assert regularity(_scheme_of(sweep, idx)[0], fast=True) == reg
 
@@ -377,17 +380,18 @@ def test_condition_a_and_invariants_decide_no_h1_on_their_own(monkeypatch):
 
 
 def test_certificate_routes_most_first_degrees_through_residuation(heart, certificate, monkeypatch):
-    # residuation along lines empties 2,027 of the 2,400 schemes at their
-    # first degrees, and the residuals of most others are ranked in their
-    # place, so the stacks mod the prime need 8 eliminations (plus the
-    # spanning check's one) in place of 57; a conic of two bank lines
-    # proves h1 > 0 for 19 of the 23 originals the prime leaves short, and
-    # the other 4, all true deficiencies, take the exact fallback
+    # residuation along lines empties 2,046 of the 2,400 schemes at their
+    # first degrees (2,027 before the scans of 19 started one degree
+    # higher, past a conic of two bank lines), and the residuals of most
+    # others are ranked in their place, so the stacks mod the prime need 8
+    # eliminations (plus the spanning check's one) in place of 57; the 4
+    # originals the prime leaves short, all true deficiencies, take the
+    # exact fallback
     import rigidsurf.cohomology as cohomology
     import rigidsurf.modp as modp
 
     calls = {"_eliminate": 0, "bareiss_rank": 0}
-    emptied, witnessed = [], []
+    emptied = []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -398,38 +402,31 @@ def test_certificate_routes_most_first_degrees_through_residuation(heart, certif
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def recorded(name, out, view):
-        original = getattr(cohomology, name)
+    original = cohomology._residual
 
-        def wrapper(*args):
-            result = original(*args)
-            out.append(view(result))
-            return result
-
-        monkeypatch.setattr(cohomology, name, wrapper)
+    def residual(*args):
+        result = original(*args)
+        emptied.append(int((result[1] == 0).sum()))
+        return result
 
     counted(modp, "_eliminate")
     counted(cohomology, "bareiss_rank")
-    recorded("_residual", emptied, lambda res: int((res[1] == 0).sum()))
-    recorded("_two_line_witness", witnessed, lambda claims: int(claims.sum()))
+    monkeypatch.setattr(cohomology, "_residual", residual)
     cert = full_certificate(heart)
     assert cert.to_json(include_timings=False) == certificate.to_json(include_timings=False)
     assert calls["_eliminate"] == 9  # 58 before residuation, 13 before residual ranking
-    assert calls["bareiss_rank"] == 4  # 23 before the two-line witness
-    assert emptied == [2027]
-    assert sum(witnessed) == 19
+    assert calls["bareiss_rank"] == 4  # 23 before the two-line bound
+    assert emptied == [2046]
 
 
 def test_certificate_builds_each_constant_once(heart, certificate, monkeypatch):
     # one crossing map of the 34 lines serves the singular points, the
     # structure checks and the incidence problem (5 computations before),
     # each conditions matrix reads its rows from one order table of its
-    # largest multiplicity, not from a per-point tuple index, and the
-    # line pairs of the two-line witness are indexed once per
-    # regularities call, not at each of its levels
+    # largest multiplicity, not from a per-point tuple index
     import rigidsurf.cohomology as cohomology
 
-    calls = {"intersection_points": 0, "_conditions": 0, "_conic_index": 0}
+    calls = {"intersection_points": 0, "_conditions": 0}
     tables = []
     original = sys.modules["rigidsurf.arrangement"].intersection_points
 
@@ -452,15 +449,11 @@ def test_certificate_builds_each_constant_once(heart, certificate, monkeypatch):
 
     wrap("_orders", tables.append)
     wrap("_conditions", lambda args: calls.__setitem__("_conditions", calls["_conditions"] + 1))
-    wrap("_conic_index", lambda args: calls.__setitem__("_conic_index", calls["_conic_index"] + 1))
-    witness_levels = []
-    wrap("_two_line_witness", lambda args: witness_levels.append(args[2]))
     cert = full_certificate(heart)
     assert cert.to_json(include_timings=False) == certificate.to_json(include_timings=False)
     assert calls["intersection_points"] == 1
     assert calls["_conditions"] == 12  # 8 stack banks and 4 Bareiss fallbacks
     assert len(tables) == 12
-    assert calls["_conic_index"] == 1 < len(witness_levels)
 
 
 def test_sweep_arrays_are_narrowed_to_their_bounds(sweep):

@@ -1,24 +1,29 @@
+import inspect
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
-from rigidsurf.arrangement import gather_sums
+import rigidsurf.cohomology as cohomology
+from rigidsurf.arrangement import incidence_sums
+from rigidsurf.certify import build_sweep
 from rigidsurf.cohomology import (
     EMPTY,
     RANK_PRIME,
     FatPointScheme,
-    _conic_index,
     _euler_rows,
     _line_bank,
     _orders,
     _residual,
     _spanning_rows,
-    _two_line_witness,
+    _start,
     bareiss_rank,
     conditions_matrix,
     conditions_matrix_mod,
@@ -33,6 +38,7 @@ from rigidsurf.cohomology import (
     regularities,
     regularity,
 )
+from rigidsurf.cover import label_map
 from rigidsurf.modp import ranks_mod
 from rigidsurf.projective import incident, join, point
 
@@ -296,31 +302,33 @@ def test_conditions_matrix_matches_symbolic_rows(pairs, t):
 
 
 def test_bundled_sweep_falls_back_only_on_true_deficiencies(sweep, cond_a, monkeypatch):
-    # the stacks mod RANK_PRIME leave 23 original schemes short of full
+    # the stacks mod RANK_PRIME leave 4 original schemes short of full
     # rank, and the full conditions matrix of each is short over Q as
     # well: the int32-sized prime adds no fallback a larger prime would
-    # have avoided.  A conic of two bank lines proves h1 > 0 for 19 of
-    # them, each confirmed here by Bareiss, and only 4 reach the exact rank
-    import rigidsurf.cohomology as cohomology
+    # have avoided.  19 scans start at s, one above the bound s - 1 of
+    # their heaviest bank lines, because two of those lines meet off the
+    # support; Bareiss confirms h1 > 0 at s - 1 for each
     from rigidsurf.certify import check_condition_a
 
-    fallbacks, witnessed = [], []
-    witness = cohomology._two_line_witness
+    fallbacks, raised = [], []
+    start = cohomology._start
 
     def recorded(fat, t):
         fallbacks.append((fat, t))
         return hilbert_rank(fat, t)
 
-    def recorded_witness(conics, mults, t):
-        claims = witness(conics, mults, t)
-        witnessed.extend((fat_points(sweep.table.points, row), t) for row in mults[claims])
-        return claims
+    def recorded_start(rich, mults, counting):
+        first = start(rich, mults, counting)
+        below = incidence_sums(mults, rich).max(axis=1) - 1
+        up = first > np.maximum(counting, below)
+        raised.extend((fat_points(sweep.table.points, row), int(t)) for row, t in zip(mults[up], below[up]))
+        return first
 
     monkeypatch.setattr(cohomology, "hilbert_rank", recorded)
-    monkeypatch.setattr(cohomology, "_two_line_witness", recorded_witness)
+    monkeypatch.setattr(cohomology, "_start", recorded_start)
     assert check_condition_a(sweep) == cond_a
-    assert (len(fallbacks), len(witnessed)) == (4, 19)
-    for fat, t in fallbacks + witnessed:
+    assert (len(fallbacks), len(raised)) == (4, 19)
+    for fat, t in fallbacks + raised:
         assert bareiss_rank(conditions_matrix(fat, t)) < fat.degree
 
 
@@ -605,46 +613,103 @@ def two_line_cases(draw):
     return points, row, lines
 
 
-def _false_witnesses(case):
-    """The highest degree a two-line witness claims h1 > 0 in, if h1 = 0 there."""
+def _false_raises(case, start=_start):
+    """The scheme and its start, if ``start`` raises it above the line and
+    counting bounds though h1 = 0 one degree below."""
     points, row, lines = case
-    conics = _conic_index(lines)
-    claimed = [t for t in range(sum(row)) if _two_line_witness(conics, np.array([row]), t)[0]]
-    if not claimed:
-        return []
     fat = fat_points(points, row)
-    return [(fat, claimed[-1])] if hilbert_rank(fat, claimed[-1]) == fat.degree else []
+    counting = next(t for t in range(99) if comb(t + 2, 2) >= fat.degree)
+    line = max(sum(h for h, on in zip(row, ell) if on) for ell in lines) - 1
+    first = int(start(lines, np.array([row]), np.array([counting]))[0])
+    if first <= max(counting, line) or hilbert_rank(fat, first - 1) < fat.degree:
+        return []
+    return [(fat, first)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(two_line_cases())
 @example(([point(1, 0, 0), point(1, 1, 0), point(0, 1, 0), point(0, 0, 1), point(1, 0, 1)],
           [2, 2, 2, 2, 1], np.array([[1, 1, 1, 0, 0], [1, 0, 0, 1, 1]], bool)))
+@example(([point(1, 0, 0), point(1, 1, 0), point(1, 2, 0), point(0, 1, 0),
+           point(0, 0, 1), point(1, 0, 1), point(2, 0, 1)],
+          [0, 1, 1, 1, 1, 1, 1], np.array([[1, 1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 1, 1, 1]], bool)))
 def test_two_line_witness_agrees_with_the_exact_rank(case):
-    # h1 > 0 decreases downward, so checking the highest claimed degree
-    # checks every claim
-    assert _false_witnesses(case) == []
+    # a start raised above the heaviest line's bound s - 1 claims h1 > 0
+    # at s - 1 from a conic of two heaviest lines, which the exact rank
+    # must confirm
+    assert _false_raises(case) == []
 
 
-def test_two_line_property_catches_a_doubled_node(monkeypatch):
-    # counting a fat point at the node as 2h, not 2h - 1, claims h1 > 0
-    # where it vanishes
-    import rigidsurf.cohomology as cohomology
-
-    def doubled_node(conics, mults):
-        a, b, members, _ = conics
-        on = gather_sums(mults, members)
-        return on[:, a] + on[:, b]
-
-    monkeypatch.setattr(cohomology, "_conic_lengths", doubled_node)
+def _mutant_case(mutant):
+    """A case on which :func:`_start`, with its raise rule replaced by
+    ``mutant``, raises a start the exact rank refutes."""
+    source = inspect.getsource(_start)
+    rule = "k * (k - 1) // 2 > met"
+    assert rule in source
+    namespace = dict(vars(cohomology))
+    exec(source.replace(rule, mutant), namespace)
+    start = namespace["_start"]
     case = find(
         two_line_cases(),
-        lambda c: bool(_false_witnesses(c)),
+        lambda c: bool(_false_raises(c, start)),
         settings=settings(
             max_examples=500, deadline=None, database=None, derandomize=True, phases=[Phase.generate]
         ),
     )
-    assert _false_witnesses(case)
+    assert _false_raises(case, start) and not _false_raises(case)
+    return case
+
+
+def test_two_line_property_catches_a_doubled_node():
+    # counting a fat point hP at the node as 2h, not 2h - 1, counts every
+    # pair of heaviest lines as meeting off the support
+    points, row, lines = _mutant_case("k * (k - 1) // 2 > 0")
+    node = np.flatnonzero(lines.all(axis=0))
+    assert node.size == 1 and row[node[0]] > 0
+
+
+def test_two_line_property_catches_a_single_heaviest_line():
+    # one heaviest line alone proves h1 > 0 only up to s - 2
+    points, row, lines = _mutant_case("(k * (k - 1) // 2 > met) | (k == 1)")
+    sums = [sum(h for h, on in zip(row, ell) if on) for ell in lines]
+    assert sums.count(max(sums)) == 1
+
+
+def _scalar_conic_lengths(rich, mults):
+    """Length of each scheme on each conic L1 + L2 of two ``rich`` lines
+    (schemes x pairs): a fat point hP off the node meets it in its line's
+    length h, and at the node in 2h - 1 (the monomials of degree < h that
+    xy does not divide), so the length is s1 + s2, less one when the node
+    is a point of the scheme."""
+    on = mults.astype(np.int64) @ rich.T
+    return np.array([
+        on[:, a] + on[:, b] - (mults[:, rich[a] & rich[b]] > 0).sum(axis=1)
+        for a, b in combinations(range(len(rich)), 2)
+    ]).T
+
+
+STRESS_MAPS = Path(__file__).resolve().parent / "data" / "stress_maps.json"
+
+
+@pytest.mark.parametrize("key", [None, (7, 4, 3), (11, 4, 1)], ids=["bundled", "p7-r4-seed3", "p11-r4-seed1"])
+def test_no_two_line_conic_proves_h1_from_the_start(labels, table, key):
+    # a conic of two bank lines of length L proves h1 > 0 in every degree
+    # t with L >= 2t + 2, up to L // 2 - 1; each scan starts past all of
+    # them, and where the heaviest lines' bound starts it: 19, 21 and 83
+    # starts are raised one above s - 1 on the bundled and stress maps
+    if key is not None:
+        (entry,) = [e for e in json.loads(STRESS_MAPS.read_text()) if (e["p"], e["r"], e["seed"]) == key]
+        labels = label_map(entry["line_labels"], table, entry["p"], entry["r"])
+    mults = np.clip(build_sweep(labels, table).h_mult[1:], 0, None)
+    rich = _line_bank(table.points)
+    counting = np.array([next(t for t in range(99) if comb(t + 2, 2) >= d) for d in fat_degrees(mults)])
+    first = _start(rich, mults, counting)
+    lengths = _scalar_conic_lengths(rich, mults)
+    assert (lengths < 2 * first[:, None] + 2).all()
+    line = (mults.astype(np.int64) @ rich.T).max(axis=1) - 1
+    assert first.tolist() == np.maximum.reduce([counting, line, lengths.max(axis=1) // 2]).tolist()
+    raised = int((first > np.maximum(counting, line)).sum())
+    assert raised == {None: 19, (7, 4, 3): 21, (11, 4, 1): 83}[key]
 
 
 def test_line_bank_lines_are_exact_joins():

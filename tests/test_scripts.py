@@ -107,7 +107,7 @@ def test_search_split_splits_a_certificate(monkeypatch, capsys):
     parts = report["parts"]
     sections = ["incidence", "building_data", "ampleness", "condition_a", "condition_b", "condition_c", "invariants"]
     assert [name for name in parts if name in sections] == sections
-    inner = {"condition_a.line_bank", "condition_a.residual"}
+    inner = {"condition_a.line_bank", "condition_a.start", "condition_a.residual"}
     assert set(parts) - set(sections) == {"crossings", "build_sweep", "to_json"} | inner
     for part in parts.values():
         assert part["wall_s"] >= 0 and part["minflt"] >= 0 and part["peak_mib"] >= 0 and part["rss_mb"] >= 0
@@ -116,7 +116,8 @@ def test_search_split_splits_a_certificate(monkeypatch, capsys):
     # inside condition (a) are not counted twice in the total
     outer = [parts[name]["rss_mb"] for name in parts if name not in inner]
     assert outer == sorted(outer)
-    rss = [parts[name]["rss_mb"] for name in ("condition_a.line_bank", "condition_a.residual", "condition_a")]
+    order = ("condition_a.line_bank", "condition_a.start", "condition_a.residual", "condition_a")
+    rss = [parts[name]["rss_mb"] for name in order]
     assert rss == sorted(rss)
     outer_wall = sum(parts[name]["wall_s"] for name in parts if name not in inner)
     assert report["total_wall_s"] == round(outer_wall, 4)
