@@ -8,13 +8,16 @@ elimination schedules, and 10 double-point scans.  A ``certify-1w``
 repetition is one ``full_certificate`` with 1 worker and its
 ``to_json``; its parts are the ``Certificate.timings`` sections, the
 crossing map and ``build_sweep`` (which run outside them) and
-``to_json``.  Three parts inside condition (a), its line bank, its scan
-start and its residuation chains, are also reported, as
-``condition_a.line_bank``, ``condition_a.start`` and
-``condition_a.residual``, and left out of the total.  Each part runs
-once, in the benchmark's order, and prints as one JSON object with its
-wall time, the minor page faults it took (``ru_minflt``) and a short
-summary of its output.  A ``certify-1w`` part also gives ``rss_mb``,
+``to_json``.  Six parts inside condition (a) are also reported and left
+out of the total: its line bank, its scan start and its residuation
+chains, as ``condition_a.line_bank``, ``condition_a.start`` and
+``condition_a.residual``, and the three steps of its rank loop, the
+per-degree conditions banks, the stacked ranks mod the prime and the
+exact Bareiss ranks, as ``condition_a.banks``, ``condition_a.ranks`` and
+``condition_a.bareiss``, each summed over its calls in condition (a)
+alone.  Each part runs once, in the benchmark's order, and prints as
+one JSON object with its wall time, the minor page faults it took
+(``ru_minflt``) and a short summary of its output.  A ``certify-1w`` part also gives ``rss_mb``,
 how far the process's peak RSS (``ru_maxrss``) stood above its value
 after set-up when the part ended, in the first certificate, so the part
 that first reaches the process's peak is the one that sets it; and
@@ -67,7 +70,12 @@ COHOMOLOGY_PARTS = {
     "_line_bank": "condition_a.line_bank",
     "_start": "condition_a.start",
     "_residual": "condition_a.residual",
+    "conditions_matrix_mod": "condition_a.banks",
+    "ranks_mod": "condition_a.ranks",
+    "hilbert_rank": "condition_a.bareiss",
 }
+# the peaks so far of the traced parts that are running, outermost first
+_open_peaks = []
 
 
 def _timed(call):
@@ -85,10 +93,18 @@ def _traced(call):
     """``_timed``, plus the traced peak above the start when tracemalloc is on."""
     if not tracemalloc.is_tracing():
         return _timed(call)
+    # a part inside another resets the peak, so the peak reached so far
+    # is first carried into every part around it
+    for frame in _open_peaks:
+        frame[0] = max(frame[0], tracemalloc.get_traced_memory()[1])
     tracemalloc.reset_peak()
     held = tracemalloc.get_traced_memory()[0]
-    out, part = _timed(call)
-    part["peak_mib"] = round((tracemalloc.get_traced_memory()[1] - held) / 2**20, 3)
+    _open_peaks.append(frame := [0])
+    try:
+        out, part = _timed(call)
+    finally:
+        _open_peaks.pop()
+    part["peak_mib"] = round((max(frame[0], tracemalloc.get_traced_memory()[1]) - held) / 2**20, 3)
     return out, part
 
 
@@ -159,11 +175,19 @@ def _certify_parts(seed: int) -> dict:
     wraps = [(certify, name, part) for name, part in CERTIFY_PARTS.items()]
     wraps += [(cohomology, name, part) for name, part in COHOMOLOGY_PARTS.items()]
     originals = [getattr(module, name) for module, name, _ in wraps]
-    parts = {}
+    parts, running = {}, set()
 
     def wrapped(inner, name):
         def call(*args, **kwargs):
-            out, part = _traced(lambda: inner(*args, **kwargs))
+            # a part named with a dot counts only its calls inside the other
+            # part (hilbert_rank also runs in invariants)
+            if "." in name and name.partition(".")[0] not in running:
+                return inner(*args, **kwargs)
+            running.add(name)
+            try:
+                out, part = _traced(lambda: inner(*args, **kwargs))
+            finally:
+                running.discard(name)
             part["rss_mb"] = round(_max_rss_mb() - set_up, 3)
             into = parts.setdefault(name, {})
             for metric, value in part.items():

@@ -23,8 +23,9 @@ matrix at all.  A chain stops before its residual would pass the counting
 bound, so the residual it leaves is ranked in its place, at a lower degree
 and with fewer rows, and full rank there proves h1 = 0 for the scheme.
 Residuals and the originals they do not settle are ranked per degree
-from one bank of conditions rows, in zero-padded stacks mod the prime,
-and Bareiss settles an original short of full rank.  Each shortcut
+from one bank of conditions rows, each point at the largest multiplicity
+a job of that degree gives it, in zero-padded stacks mod the prime, and
+Bareiss settles an original short of full rank.  Each shortcut
 proves one direction only: residuation h1 = 0, the bank lines below the
 start h1 > 0.
 """
@@ -476,9 +477,11 @@ def regularities(points, mults) -> np.ndarray:
       matrix mod ``RANK_PRIME`` (:func:`_euler_rows` of what
       :func:`conditions_matrix_mod` builds) has exactly its deg rows,
       since deg <= C(t+2, 2) gives t >= h - 1 at every point, selected
-      from one bank per level: the conditions matrix of all points at
-      the largest multiplicity, built in the elimination's dtype, so the
-      gathered stacks are eliminated without another reduction or cast;
+      from one bank per level: the conditions matrix of each point at
+      the largest multiplicity a job of that level gives it (a point's
+      rows at a lower multiplicity are a prefix of these), built in the
+      elimination's dtype, so the gathered stacks are eliminated without
+      another reduction or cast;
     - the jobs at one level are ranked in stacks of at most
       ``_STACK_CELLS`` cells, each padded with zero rows (which leave a
       rank alone) to its largest deg.  Full rank certifies h1 = 0 for
@@ -523,15 +526,7 @@ def regularities(points, mults) -> np.ndarray:
     pending = np.ones(owner.size, dtype=bool)
     pending[original_of] = False
 
-    # every job's bank rows, job after job, point after point: the
-    # C(h+1, 2) rows of order h - 1 of each point's block, deg rows in all
     job_deg = fat_degrees(job)
-    hmax = int(job.max())
-    which, i = np.nonzero(job)
-    bank_rows = _euler_rows(job[which, i], level_of[which], i * comb(hmax + 2, 3))
-    assert bank_rows.size == job_deg.sum(), "every job has t >= h - 1"
-    first_row = np.cumsum(job_deg) - job_deg
-    full = FatPointScheme(tuple((pnt, hmax) for pnt in points))
     q = RANK_PRIME
 
     while pending.any():
@@ -540,15 +535,24 @@ def regularities(points, mults) -> np.ndarray:
         over = owner[now[bound[owner[now]] < level]]
         if over.size:
             raise ArithmeticError(f"regularity scan exceeded bound {int(bound[over[0]])}")
-        bank = conditions_matrix_mod(full, level, q)
-        per_stack = max(1, _STACK_CELLS // (int(job_deg[now].max()) * bank.shape[1]))
+        # each point at its largest multiplicity here; a job's deg rows are
+        # the order-(h - 1) rows of its points' blocks, job after job
+        h, deg_now = job[now].astype(np.int64), job_deg[now]
+        top = h.max(axis=0)
+        size = top * (top + 1) * (top + 2) // 6
+        bank = conditions_matrix_mod(fat_points(points, top), level, q)
+        which, i = np.nonzero(h)
+        bank_rows = _euler_rows(h[which, i], level, (np.cumsum(size) - size)[i])
+        assert bank_rows.size == deg_now.sum(), "every job has t >= h - 1"
+        first_row = np.cumsum(deg_now) - deg_now
+        per_stack = max(1, _STACK_CELLS // (int(deg_now.max()) * bank.shape[1]))
         certified = []
-        for chunk in np.array_split(now, ceil(now.size / per_stack)):
-            span = np.arange(job_deg[chunk].max())
-            real = span < job_deg[chunk][:, None]
+        for chunk in np.array_split(np.arange(now.size), ceil(now.size / per_stack)):
+            span = np.arange(deg_now[chunk].max())
+            real = span < deg_now[chunk][:, None]
             stack = bank[bank_rows[np.where(real, first_row[chunk][:, None] + span, 0)]]
             stack[~real] = 0
-            certified.append(ranks_mod(stack, q) == job_deg[chunk])
+            certified.append(ranks_mod(stack, q) == deg_now[chunk])
         certified = np.concatenate(certified)
         pending[now] = False
 

@@ -7,6 +7,8 @@ int32 when (q - 1)^2 < 2^31 (q <= 46,337) and int64 for every other
 q < 2^31, the bound the functions here accept.  The rank is a lower
 bound for the rank over Q of the integer matrix it reduces, and equals
 it whenever it is full (a nonzero minor mod q is nonzero over Z).
+Elimination swaps no rows: each pivot row zeroes itself with its column,
+and a matrix with no pivot in a column takes a unit scale.
 """
 
 from __future__ import annotations
@@ -29,41 +31,38 @@ def kernel_dtype(q: int) -> type:
     return np.int32 if (q - 1) ** 2 < 2**31 else np.int64
 
 
-def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate(stack: np.ndarray, q: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Forward elimination of a (B, R, C) stack of residue matrices, in place.
 
-    Fraction-free: a row below the pivot becomes pv * row - f * pivot_row
-    with pv the pivot and f the row's entry in the pivot column.  Scaling
-    a row by the nonzero pv keeps the row space, so no inverse is needed,
-    and the swaps and pivot columns are those of elimination with
-    normalized pivots.  The stack holds residues in [0, q) of
-    ``kernel_dtype(q)``.  Returns the ranks (B,) and the pivot columns
-    (B, min(R, C)), -1 past each rank.
+    Fraction-free, with no row swaps: at column c a matrix's pivot row
+    is its first row nonzero there, and each row from the stack's first
+    pivot row down (those above are zero in c) becomes
+    pv * row - f * pivot_row, for the pivot pv and the row's entry f in
+    column c.  This zeroes column c and the pivot row itself, so the
+    stack ends all zero, and needs no inverse: scaling by pv keeps the
+    row space.  A matrix with no pivot in c takes the unit scale pv = 1,
+    and f = 0 leaves it alone.  The stack holds residues in [0, q) of
+    ``kernel_dtype(q)``.  ``out``, a zero array of its shape, receives
+    each pivot row in turn, which gives a row echelon form.  Returns the
+    ranks (B,) and the pivot columns (B, min(R, C)), -1 past each rank.
     """
     assert stack.dtype == kernel_dtype(q), "the stack must hold residues of the kernel dtype"
     count, rows, cols = stack.shape
     ranks = np.zeros(count, dtype=np.int64)
-    pivots = np.full((count, min(rows, cols)), -1, dtype=np.int64)
-    row_ids = np.arange(rows)
+    found = np.zeros((cols, count), dtype=bool)
+    every = np.arange(count)
     for c in range(cols):
-        # the first row at or below each matrix's rank that is nonzero in column c
-        cand = (stack[:, :, c] != 0) & (row_ids >= ranks[:, None])
-        hit = np.nonzero(cand.any(axis=1))[0]
-        if not hit.size:
+        nonzero = stack[:, :, c] != 0
+        has = nonzero.any(axis=1)
+        if not has.any():
             continue
-        top = ranks[hit]
-        piv = cand[hit].argmax(axis=1)
-        # swap the pivot row up to the rank; rows at or below the rank are
-        # zero left of column c, and the pivot row is written back last
-        pivot_rows = stack[hit, piv, c:]
-        stack[hit, piv, c:] = stack[hit, top, c:]
-        lo = int(top.min())
-        # a view of the stack when every matrix has a pivot here, else a copy
-        block = stack[slice(None) if hit.size == count else hit, lo:, c:]
-        below = (row_ids[lo:] > top[:, None])[:, :, None]
-        f = np.where(below, block[:, :, :1], 0)
-        block *= np.where(below, pivot_rows[:, None, :1], 1)
-        scratch = f * pivot_rows[:, None, :]
+        piv = nonzero.argmax(axis=1)
+        pivot_rows = stack[every, piv, c:]
+        if out is not None:
+            out[has, ranks[has], c:] = pivot_rows[has]
+        block = stack[:, int(piv[has].min()):, c:]
+        scratch = block[:, :, :1] * pivot_rows[:, None, :]
+        block *= (pivot_rows[:, 0] + ~has)[:, None, None]
         block -= scratch
         # block -= block // q * q is block %= q; numpy divides by a scalar
         # far faster than it takes remainders, and one scratch buffer keeps
@@ -71,13 +70,13 @@ def _eliminate(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         np.floor_divide(block, q, out=scratch)
         scratch *= q
         block -= scratch
-        if hit.size < count:
-            stack[hit, lo:, c:] = block
-        stack[hit, top, c:] = pivot_rows
-        pivots[hit, top] = c
-        ranks[hit] += 1
+        found[c] = has
+        ranks += has
         if (ranks == rows).all():
             break
+    pivots = np.full((count, min(rows, cols)), -1, dtype=np.int64)
+    which, col = np.nonzero(found.T)
+    pivots[which, np.arange(which.size) - (np.cumsum(ranks) - ranks)[which]] = col
     return ranks, pivots
 
 
@@ -94,8 +93,9 @@ def echelon_mod(matrix, q: int) -> tuple[np.ndarray, list[int]]:
     alone.  Rows below the rank come out zero.
     """
     m = _residues(matrix, q)
-    ranks, pivots = _eliminate(m[None], q)
-    return m, pivots[0, : ranks[0]].tolist()
+    ech = np.zeros_like(m)
+    ranks, pivots = _eliminate(m[None], q, ech[None])
+    return ech, pivots[0, : ranks[0]].tolist()
 
 
 def rank_mod(matrix, q: int) -> int:
@@ -113,8 +113,9 @@ def ranks_mod(stack, q: int) -> np.ndarray:
     One elimination runs over the whole stack, one column at a time, so
     the Python-level cost is paid per column rather than per matrix.  A
     stack that already holds residues in [0, q) of ``kernel_dtype(q)``,
-    as the conditions banks do, is eliminated in place; any other input
-    is first reduced into a new array.
+    as the conditions banks do, is eliminated in place and comes back
+    all zero; any other input is first reduced into a new array, and
+    the caller's is left as it was.
     """
     stack = np.asarray(stack)
     reduced = stack.dtype == kernel_dtype(q) and (

@@ -217,6 +217,54 @@ def test_regularities_rank_each_degree_once_mod_the_prime(monkeypatch):
     assert calls["hilbert_rank"] > 0
 
 
+def test_regularities_build_each_bank_at_its_levels_multiplicities(monkeypatch):
+    # each level's bank holds each point at the largest multiplicity a
+    # job of that level gives it; with residuation taking no step the
+    # jobs at t are the schemes whose scan passes t, so point 0 is
+    # banked at multiplicity 3 at degree 3 and at 1 further up
+    rows = [[3, 0, 0, 0, 1, 0, 0, 0, 0], [1, 1, 1, 0, 2, 2, 0, 1, 1], [1, 2, 0, 2, 1, 1, 2, 2, 0], [1] * 9]
+    rng = random.Random(15)
+    rows += [[rng.choice((0, 1, 1, 2, 3)) for _ in FIXED_POINTS] for _ in range(20)]
+    mults = np.array(rows)
+    exact = np.array([regularity(fat_points(FIXED_POINTS, row)) for row in rows])
+    counting = np.array([next(t for t in range(99) if comb(t + 2, 2) >= d) for d in fat_degrees(mults)])
+    start = _start(_line_bank(FIXED_POINTS), mults, counting)
+    banks = {}
+
+    def recorded(fat, t, q):
+        bank = conditions_matrix_mod(fat, t, q)
+        top = [dict((pnt, h) for pnt, h in fat.points).get(pnt, 0) for pnt in FIXED_POINTS]
+        banks[t] = (top, bank.shape[0])
+        return bank
+
+    monkeypatch.setattr(cohomology, "_residual", _no_step)
+    monkeypatch.setattr(cohomology, "conditions_matrix_mod", recorded)
+    assert regularities(FIXED_POINTS, rows).tolist() == exact.tolist()
+    assert sorted(banks) == sorted({t for a, b in zip(start, exact) for t in range(a, b)})
+    for t, (top, count) in banks.items():
+        assert top == mults[(start <= t) & (t < exact)].max(axis=0).tolist()
+        assert count == sum(comb(h + 2, 3) for h in top)
+    assert {banks[t][0][0] for t in banks} >= {1, 3}
+
+
+def test_bundled_sweep_banks_hold_only_the_rows_its_jobs_use(sweep, cond_a, monkeypatch):
+    # one bank per scanned level, 8 on the bundled sweep, at the levels'
+    # own multiplicities: 8,160 rows when every bank held all 51 points
+    # at the largest multiplicity, 4
+    from rigidsurf.certify import check_condition_a
+
+    rows = []
+
+    def recorded(fat, t, q):
+        bank = conditions_matrix_mod(fat, t, q)
+        rows.append(bank.shape[0])
+        return bank
+
+    monkeypatch.setattr(cohomology, "conditions_matrix_mod", recorded)
+    assert check_condition_a(sweep) == cond_a
+    assert len(rows) == 8 and sum(rows) <= 600
+
+
 def test_lower_multiplicity_rows_are_a_prefix():
     # the batched scan selects a scheme's rows from the rows of the
     # largest multiplicity, so each point's rows must nest, and the

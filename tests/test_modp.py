@@ -81,7 +81,9 @@ def stacks(draw):
 def test_ranks_mod_matches_sympy_per_matrix(case):
     stack, q = case
     oracle = [_oracle_rank(mat.tolist(), q) for mat in stack]
-    ranks = ranks_mod(stack, q)
+    # a reduced stack of the kernel dtype (int64 for the largest prime)
+    # is eliminated in place, so the per-matrix ranks below need a copy
+    ranks = ranks_mod(stack.copy(), q)
     assert ranks.shape == (stack.shape[0],)
     assert ranks.tolist() == oracle
     assert [rank_mod(mat, q) for mat in stack] == oracle
@@ -127,6 +129,25 @@ def test_ranks_mod_mixes_ranks_in_one_stack():
     assert ranks_mod(stack[:1], 7).tolist() == [3]
     assert ranks_mod(np.zeros((2, 0, 4), dtype=np.int64), 7).tolist() == [0, 0]
     assert ranks_mod(np.zeros((0, 3, 3), dtype=np.int64), 7).tolist() == []
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_ranks_mod_column_with_a_pivot_none_and_a_last_row_pivot(q):
+    # in column 0 the first matrix pivots, the second has no pivot and
+    # must be scaled by one, not by its zero entry, and the third's only
+    # nonzero row is its last
+    stack = np.array(
+        [
+            [[2, 1, 3], [4, 5, 6], [1, 0, 2]],
+            [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+            [[0, 1, 1], [0, 2, 2], [5, 1, 3]],
+        ],
+        dtype=kernel_dtype(q),
+    )
+    oracle = [_oracle_rank(mat.tolist(), q) for mat in stack]
+    assert [rank_mod(mat, q) for mat in stack] == oracle
+    assert ranks_mod(stack, q).tolist() == oracle
+    assert not stack.any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,7 +239,7 @@ def test_ranks_mod_exact_at_the_extreme_residues(case):
         ech, pivots = echelon_mod(mat, q)
         assert len(pivots) == rank
         assert _oracle_rank(mat.tolist() + ech.tolist(), q) == rank
-    assert ranks_mod(stack, q).tolist() == oracle
+    assert ranks_mod(stack.copy(), q).tolist() == oracle
     assert ranks_mod(stack.astype(kernel_dtype(q)), q).tolist() == oracle
 
 
@@ -251,8 +272,9 @@ def test_ranks_mod_reduces_unreduced_input_of_the_kernel_dtype():
 
 def test_ranks_mod_eliminates_reduced_stacks_in_place():
     # a stack of residues of the kernel dtype, as the conditions banks
-    # give, reaches the elimination without a reduced copy
+    # give, reaches the elimination without a reduced copy: every pivot
+    # row zeroes itself, so the caller's array comes back all zero
     q = INT32_LARGEST
     stack = np.array([[[0, 2, 1], [3, 1, 4], [3, 3, 5]]], dtype=np.int32)
     assert ranks_mod(stack, q).tolist() == [2]
-    assert stack[0, 0].tolist() == [3, 1, 4] and not stack[0, 2].any()
+    assert not stack.any()

@@ -107,8 +107,10 @@ def test_search_split_splits_a_certificate(monkeypatch, capsys):
     parts = report["parts"]
     sections = ["incidence", "building_data", "ampleness", "condition_a", "condition_b", "condition_c", "invariants"]
     assert [name for name in parts if name in sections] == sections
-    inner = {"condition_a.line_bank", "condition_a.start", "condition_a.residual"}
+    loop = {"condition_a.banks", "condition_a.ranks", "condition_a.bareiss"}
+    inner = {"condition_a.line_bank", "condition_a.start", "condition_a.residual"} | loop
     assert set(parts) - set(sections) == {"crossings", "build_sweep", "to_json"} | inner
+    assert all(parts[name]["rss_mb"] <= parts["condition_a"]["rss_mb"] for name in loop)
     for part in parts.values():
         assert part["wall_s"] >= 0 and part["minflt"] >= 0 and part["peak_mib"] >= 0 and part["rss_mb"] >= 0
     assert parts["condition_a"]["peak_mib"] > 0 and 0 < report["peak_mib"] < 4
